@@ -102,6 +102,20 @@ def _build_spectrum(cfg: RunConfig, steady: SteadyState) -> SpectrumResult:
     )
 
 
+def _experiment(cfg: RunConfig, steady: SteadyState, spectrum: SpectrumResult, **kw):
+    """Perturbation experiment with the [experiment] and [time] settings."""
+    kw.setdefault("threshold", cfg.experiment.threshold)
+    return ExperimentConfig(
+        steady=steady,
+        spectrum=spectrum,
+        epsilons=list(cfg.experiment.epsilons),
+        envelope_radius=cfg.experiment.R,
+        observe_every=cfg.time.observe_every,
+        stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
+        **kw,
+    )
+
+
 def _spectrum_gate(res: SpectrumResult) -> bool:
     if res.method == "dense":
         return res.residual < SPECTRUM_RESIDUAL_GATE
@@ -231,15 +245,7 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
             "spectrally stable, the escape-time experiment is vacuous"
         )
         return 1
-    exp = ExperimentConfig(
-        steady=steady,
-        spectrum=spectrum,
-        epsilons=list(cfg.experiment.epsilons),
-        envelope_radius=cfg.experiment.R,
-        threshold=cfg.experiment.threshold,
-        observe_every=cfg.time.observe_every,
-        stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
-    )
+    exp = _experiment(cfg, steady, spectrum)
     if len(exp.epsilons) == 1:
         print("single epsilon: running one record, no regression")
         rec = run_perturbation(exp, exp.epsilons[0])
@@ -341,16 +347,7 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
 
     if trajectory:
         spectrum = _build_spectrum(cfg, steady)
-        exp = ExperimentConfig(
-            steady=steady,
-            spectrum=spectrum,
-            epsilons=list(cfg.experiment.epsilons),
-            envelope_radius=cfg.experiment.R,
-            threshold=math.inf,
-            t_max=cfg.time.t_max,
-            observe_every=cfg.time.observe_every,
-            stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
-        )
+        exp = _experiment(cfg, steady, spectrum, threshold=math.inf, t_max=cfg.time.t_max)
         g = steady.grid
         ratios = []
 
@@ -399,6 +396,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and not 0 <= args.seed <= 2**64 - 1:
+            raise ValidationError("--seed must be a 64-bit unsigned integer")
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.io.out_dir)
         if args.command == "steady":

@@ -45,8 +45,6 @@ class ExperimentSection:
     epsilons: list[float] = field(default_factory=lambda: [1e-2, 1e-3, 1e-4, 1e-5])
     threshold: float | None = None
     R: float = 2.0
-    gamma_interp: float = 0.5
-    delta_shift: float | None = None
 
 
 @dataclass
@@ -91,8 +89,6 @@ _PARSERS = {
     ("experiment", "epsilons"): lambda s: [float(x) for x in s.split(",") if x.strip()],
     ("experiment", "threshold"): float,
     ("experiment", "r"): float,
-    ("experiment", "gamma_interp"): float,
-    ("experiment", "delta_shift"): float,
     ("modulus", "delta_mod"): float,
     ("modulus", "gamma_mod"): float,
     ("modulus", "a"): float,
@@ -150,6 +146,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError(f"shear wavenumber m={st.m} outside [1, n/3]")
     if st.kind == "custom-file" and not st.file:
         raise ValidationError("steady kind custom-file requires a file path")
+    if st.kind == "custom-file" and not Path(st.file).is_file():
+        raise ValidationError(f"steady file not found: {st.file}")
+    if tm.initial is not None and not Path(tm.initial).is_file():
+        raise ValidationError(f"time initial file not found: {tm.initial}")
     if not 0.0 < tm.cfl <= 1.0:
         raise ValidationError("time cfl must lie in (0, 1]")
     if tm.dt_max <= 0 or tm.t_max <= 0 or tm.observe_every <= 0:
@@ -168,8 +168,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("experiment epsilons must be sorted descending")
     if ex.R <= 1.0:
         raise ValidationError("experiment R must exceed ||phi|| = 1")
-    if not 0.0 <= ex.gamma_interp <= 1.0:
-        raise ValidationError("experiment gamma_interp must lie in [0, 1]")
     if ex.threshold is not None and ex.threshold <= 0:
         raise ValidationError("experiment threshold must be positive")
     if not 0.0 < mo.delta_mod < 1.0:

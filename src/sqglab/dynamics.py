@@ -1,15 +1,18 @@
 """Steady states, the quadratic nonlinearity, and time integration of the
 forced critical SQG equation  d_t Theta + U.grad(Theta) + Lambda(Theta) = f.
 
-The integrator is an integrating-factor RK4: the dissipation multiplier
-exp(-|k| dt) is applied exactly, advection and force are explicit.  In
-Perturbation mode the same stepper integrates d_t theta = L theta + N(theta)
-about a stored steady state.
+This module holds the one advection kernel, `advection` (full, linearized and
+perturbation variants; `linop` applies L through it), the one
+integrating-factor RK4 step, `if_rk4_step` (exp(-|k| dt) applied exactly,
+advection and force explicit), and the one time loop, `integrate` (CFL step,
+landing on observation times, finite check, gradient guard), which `evolve`
+and `growth.run_perturbation` drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .spectral import (
     to_coeffs,
     to_values,
     velocity_from_theta,
-    velocity_values,
 )
 
 FULL = "full"
@@ -49,10 +51,17 @@ class SteadyState:
     def grid(self) -> GridSpec:
         return self.theta0.grid
 
+    @cached_property
+    def advection_base(self) -> np.ndarray:
+        """Collocation values (q0_1, q0_2, d_1 theta0, d_2 theta0), shape (4, n, n):
+        the `base` argument of `advection`."""
+        fields = (self.q0[0], self.q0[1], derivative(self.theta0, 1), derivative(self.theta0, 2))
+        return to_values(np.stack([s.coeffs for s in fields]), self.grid.n).real
+
     def residual_linf(self) -> float:
         """sup norm of q0.grad(theta0) + Lambda(theta0) - f."""
         g = self.grid
-        adv = _advection_coeffs(self.theta0.coeffs, g)
+        adv = -advection(self.theta0.coeffs, g)
         res = adv + lambda_pow(self.theta0, 1.0).coeffs - self.f.coeffs
         return float(np.max(np.abs(to_values(res, g.n))))
 
@@ -112,7 +121,7 @@ def make_steady(theta0: SpectralField) -> SteadyState:
         raise ResolutionError(
             "steady state carries energy at the dealias boundary; increase n"
         )
-    adv = _advection_coeffs(theta0.coeffs, g)
+    adv = -advection(theta0.coeffs, g)
     f = SpectralField(g, adv + lambda_pow(theta0, 1.0).coeffs)
     q0 = velocity_from_theta(theta0)
     return SteadyState(theta0=theta0.copy(), q0=q0, f=f)
@@ -122,115 +131,93 @@ def nonlinear_term(theta: SpectralField) -> SpectralField:
     """N(theta) = -q.grad(theta) with q = (R2 theta, -R1 theta), dealiased."""
     if not theta.mean_free:
         raise DomainError("nonlinear term requires a mean-free field")
-    g = theta.grid
-    return SpectralField(g, -_advection_coeffs(theta.coeffs, g))
+    return SpectralField(theta.grid, advection(theta.coeffs, theta.grid))
 
 
-def _advection_coeffs(c_theta: np.ndarray, g: GridSpec) -> np.ndarray:
-    """Coefficients of q.grad(theta) for the self-induced velocity."""
-    u1, u2 = velocity_values(c_theta, g)
-    d1 = to_values(c_theta * (1j * g.k1) * g.nyquist_mask, g.n)
-    d2 = to_values(c_theta * (1j * g.k2) * g.nyquist_mask, g.n)
-    out = to_coeffs(u1 * d1 + u2 * d2, g.n)
-    out *= g.dealias_mask
-    out[0, 0] = 0.0
+def advection(c: np.ndarray, grid: GridSpec, base=None, nonlinear=1.0) -> np.ndarray:
+    """Dealiased, mean-free coefficients of the advection term of c.
+
+    With base None this is the full term -u.grad(theta), u = (R2 theta, -R1 theta).
+    With base = steady.advection_base it is -(q0 + a u).grad(theta) - u.grad(theta0)
+    with a = nonlinear: 0 gives the linearized term, 1 the perturbation term
+    (linearized plus full).  c may carry leading axes; nonlinear may be an
+    array broadcast over them, which gives each slot its own variant.
+    """
+    n = grid.n
+    ik, scale = grid.advection_symbols
+    shape = (4,) + (1,) * (c.ndim - 2) + (n, n)
+    v = c * ik.reshape(shape)
+    v *= scale.reshape(shape)
+    u1, u2, d1, d2 = to_values(v, n)
+    if base is None:
+        prod = u1 * d1 + u2 * d2
+    else:
+        q1, q2, t1, t2 = base
+        if np.any(nonlinear):
+            q1, q2 = q1 + nonlinear * u1, q2 + nonlinear * u2
+        prod = q1 * d1 + q2 * d2 + u1 * t1 + u2 * t2
+    out = -to_coeffs(prod, n)
+    out *= grid.dealias_mask
+    out[..., 0, 0] = 0.0
     return out
 
 
-class _Workspace:
-    """Cached per-(steady, mode) arrays for the explicit part of the RHS."""
-
-    def __init__(self, steady: SteadyState, mode: str):
-        g = steady.grid
-        self.grid = g
-        self.mode = mode
-        self.f = steady.f.coeffs
-        self.q0_1 = to_values(steady.q0[0].coeffs, g.n).real
-        self.q0_2 = to_values(steady.q0[1].coeffs, g.n).real
-        self.dtheta0_1 = to_values(derivative(steady.theta0, 1).coeffs, g.n).real
-        self.dtheta0_2 = to_values(derivative(steady.theta0, 2).coeffs, g.n).real
-        self._decay_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def explicit_rhs(self, c: np.ndarray) -> np.ndarray:
-        """Everything except the dissipation: advection terms (+ force in full mode)."""
-        g = self.grid
-        u1, u2 = velocity_values(c, g)
-        d1 = to_values(c * (1j * g.k1) * g.nyquist_mask, g.n)
-        d2 = to_values(c * (1j * g.k2) * g.nyquist_mask, g.n)
-        if self.mode == FULL:
-            prod = u1 * d1 + u2 * d2
-            out = -to_coeffs(prod, g.n)
-            out *= g.dealias_mask
-            out[0, 0] = 0.0
-            out += self.f
-            return out
-        # perturbation: -(q0 + q).grad(theta) - q.grad(theta0)
-        prod = (self.q0_1 + u1) * d1 + (self.q0_2 + u2) * d2
-        prod += u1 * self.dtheta0_1 + u2 * self.dtheta0_2
-        out = -to_coeffs(prod, g.n)
-        out *= g.dealias_mask
-        out[0, 0] = 0.0
-        return out
-
-    def decay_factors(self, dt: float):
-        """(exp(-|k| dt/2), exp(-|k| dt)) for the integrating factor."""
-        got = self._decay_cache.get(dt)
-        if got is None:
-            half = np.exp(-self.grid.kmag * (0.5 * dt))
-            got = (half, half * half)
-            if len(self._decay_cache) > 8:
-                self._decay_cache.clear()
-            self._decay_cache[dt] = got
-        return got
-
-    def advecting_velocity_linf(self, c: np.ndarray) -> float:
-        u1, u2 = velocity_values(c, self.grid)
-        if self.mode == PERTURBATION:
-            u1 = u1 + self.q0_1
-            u2 = u2 + self.q0_2
-        return float(np.max(np.hypot(np.abs(u1), np.abs(u2))))
+def _explicit(steady: SteadyState, mode: str, nonlinear=1.0):
+    """Everything but the dissipation: advection, plus the force in full mode."""
+    g = steady.grid
+    if mode == PERTURBATION:
+        return lambda c: advection(c, g, steady.advection_base, nonlinear)
+    return lambda c: advection(c, g) + steady.f.coeffs
 
 
 def rhs(state: EvolutionState) -> SpectralField:
     """Time derivative of the state (dissipation included)."""
-    ws = _Workspace(state.steady, state.mode)
     g = state.theta.grid
-    out = ws.explicit_rhs(state.theta.coeffs) - g.kmag * state.theta.coeffs
-    return SpectralField(g, out)
+    c = state.theta.coeffs
+    return SpectralField(g, _explicit(state.steady, state.mode)(c) - g.kmag * c)
 
 
 def cfl_dt(state: EvolutionState, config: StepperConfig) -> float:
     """min(dt_max, cfl * dx / ||U||_inf) with a small floor on the velocity."""
-    ws = _Workspace(state.steady, state.mode)
-    return _cfl_dt_ws(ws, state.theta.coeffs, config)
+    g = state.theta.grid
+    ik, scale = g.advection_symbols
+    u1, u2 = to_values(state.theta.coeffs * ik[:2] * scale[:2], g.n)
+    if state.mode == PERTURBATION:
+        u1 = u1 + state.steady.advection_base[0]
+        u2 = u2 + state.steady.advection_base[1]
+    umax = max(float(np.max(np.hypot(np.abs(u1), np.abs(u2)))), config.velocity_floor)
+    return min(config.dt_max, config.cfl * g.dx / umax)
 
 
-def _cfl_dt_ws(ws: _Workspace, c: np.ndarray, config: StepperConfig) -> float:
-    umax = max(ws.advecting_velocity_linf(c), config.velocity_floor)
-    return min(config.dt_max, config.cfl * ws.grid.dx / umax)
+def decay_factors(grid: GridSpec, dt: float, shift: float = 0.0):
+    """(exp(-(|k| + shift) dt/2), exp(-(|k| + shift) dt)) for the integrating factor."""
+    half = np.exp(-(grid.kmag + shift) * (0.5 * dt))
+    return half, half * half
 
 
-def _if_rk4_step(ws: _Workspace, c: np.ndarray, dt: float) -> np.ndarray:
-    """One integrating-factor RK4 step; exact exp(-|k| dt) on the dissipation."""
-    e1, e2 = ws.decay_factors(dt)
-    k1 = ws.explicit_rhs(c)
-    k2 = ws.explicit_rhs(e1 * (c + (0.5 * dt) * k1))
-    k3 = ws.explicit_rhs(e1 * c + (0.5 * dt) * k2)
-    k4 = ws.explicit_rhs(e2 * c + dt * (e1 * k3))
+def if_rk4_step(explicit, c: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """One integrating-factor RK4 step of d_t c = explicit(c) - D c, where the
+    decay factors e1, e2 = exp(-D dt/2), exp(-D dt) apply D exactly; c may
+    carry leading axes."""
+    k1 = explicit(c)
+    k2 = explicit(e1 * (c + (0.5 * dt) * k1))
+    k3 = explicit(e1 * c + (0.5 * dt) * k2)
+    k4 = explicit(e2 * c + dt * (e1 * k3))
     out = e2 * c + (dt / 6.0) * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
-    out[0, 0] = 0.0
+    out[..., 0, 0] = 0.0
     return out
 
 
 def step(state: EvolutionState, dt: float, config: StepperConfig | None = None) -> EvolutionState:
     """Advance by one step of size dt (dt must respect the CFL bound)."""
     config = config or StepperConfig()
-    ws = _Workspace(state.steady, state.mode)
-    allowed = _cfl_dt_ws(ws, state.theta.coeffs, config)
+    allowed = cfl_dt(state, config)
     if dt > allowed * (1 + 1e-9):
         raise DomainError(f"dt={dt:.3e} exceeds CFL/dt_max bound {allowed:.3e}")
-    c = _if_rk4_step(ws, state.theta.coeffs, dt)
-    return replace(state, theta=SpectralField(state.theta.grid, c), t=state.t + dt)
+    g = state.theta.grid
+    explicit = _explicit(state.steady, state.mode)
+    c = if_rk4_step(explicit, state.theta.coeffs, dt, *decay_factors(g, dt))
+    return replace(state, theta=SpectralField(g, c), t=state.t + dt)
 
 
 def observed_norms(state: EvolutionState) -> dict[str, float]:
@@ -251,11 +238,75 @@ def observed_norms(state: EvolutionState) -> dict[str, float]:
     }
 
 
+def integrate(
+    steady: SteadyState,
+    mode: str,
+    c: np.ndarray,
+    t: float,
+    t_final: float,
+    config: StepperConfig,
+    observe_every: float,
+    grad_guard_factor: float = 1e3,
+):
+    """The time loop: yield (c, norms, full_norms) at the start, at every
+    observation time and at t_final; the caller stops the run early by leaving
+    the loop.
+
+    c holds the coefficients of the field in `mode`.  In perturbation mode c may
+    be a (2, n, n) stack whose slot 1 is the co-evolved linear solution: one
+    kernel call advances both slots with the same steps, slot 1 with the
+    linearized variant.  The CFL step and the norms read slot 0 only: norms
+    are its `observed_norms` plus linf_full and linf_grad_full, full_norms the
+    `observed_norms` of the full field (the same dict in full mode).
+
+    Raises BlowUpError on non-finite coefficients, or when linf_grad_full
+    exceeds grad_guard_factor times max(its initial value, 1), with the norms
+    as diagnostics.
+    """
+    g = steady.grid
+    stacked = c.ndim == 3
+    explicit = _explicit(steady, mode, np.array([1.0, 0.0])[:, None, None] if stacked else 1.0)
+
+    def state_at(cc, tt):
+        return EvolutionState(SpectralField(g, cc[0] if stacked else cc), tt, steady, mode)
+
+    if not np.all(np.isfinite(c)):
+        raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
+    guard = grad_guard_factor * max(norm_linf_grad(state_at(c, t).full_theta()), 1.0)
+
+    def observed(cc, tt):
+        state = state_at(cc, tt)
+        norms = observed_norms(state)
+        full = norms
+        if mode == PERTURBATION:
+            full = observed_norms(replace(state, theta=state.full_theta(), mode=FULL))
+        norms["linf_grad_full"], norms["linf_full"] = full["linf_grad"], full["linf"]
+        if norms["linf_grad_full"] > guard:
+            raise BlowUpError(f"gradient guard tripped at t={tt:.6f}", t=tt, diagnostics=norms)
+        return cc, norms, full
+
+    yield observed(c, t)
+    next_obs = t + observe_every
+    dt_prev = None
+    while t < t_final - 1e-14:
+        # land exactly on the next observation time and on t_final
+        dt = min(cfl_dt(state_at(c, t), config), next_obs - t, t_final - t)
+        if dt != dt_prev:
+            e1, e2 = decay_factors(g, dt)
+            dt_prev = dt
+        c = if_rk4_step(explicit, c, dt, e1, e2)
+        t += dt
+        if not np.all(np.isfinite(c)):
+            raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
+        if t >= next_obs - 1e-12 or t >= t_final - 1e-14:
+            yield observed(c, t)
+            next_obs = t + observe_every
+
+
 @dataclass
 class EvolveResult:
     state: EvolutionState
     records: list[dict]
-    blow_up: bool = False
 
 
 def evolve(
@@ -272,46 +323,14 @@ def evolve(
     gradient exceeds grad_guard_factor times its initial value.
     """
     config = config or StepperConfig()
-    ws = _Workspace(state.steady, state.mode)
-    c = state.theta.coeffs.copy()
-    t = state.t
-    grid = state.theta.grid
-    if not np.all(np.isfinite(c)):
-        raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
-
-    def monitor_state(cc, tt):
-        return EvolutionState(SpectralField(grid, cc), tt, state.steady, state.mode)
-
-    guard = grad_guard_factor * max(
-        norm_linf_grad(monitor_state(c, t).full_theta()), 1.0
-    )
     records: list[dict] = []
-
-    def observe(cc, tt):
-        st = monitor_state(cc, tt)
-        norms = observed_norms(st)
-        grad_full = norm_linf_grad(st.full_theta())
-        norms["linf_grad_full"] = grad_full
-        norms["linf_full"] = norm_linf(st.full_theta())
-        if grad_full > guard:
-            raise BlowUpError(
-                f"gradient guard tripped at t={tt:.6f}", t=tt, diagnostics=norms
-            )
+    run = integrate(
+        state.steady, state.mode, state.theta.coeffs.copy(), state.t, t_final,
+        config, observe_every, grad_guard_factor,
+    )
+    for c, norms, _ in run:
         records.append(norms)
         if observer is not None:
-            observer(tt, norms)
-
-    observe(c, t)
-    next_obs = t + observe_every
-    while t < t_final - 1e-14:
-        dt = _cfl_dt_ws(ws, c, config)
-        # land exactly on the next observation time and on t_final
-        dt = min(dt, next_obs - t, t_final - t)
-        c = _if_rk4_step(ws, c, dt)
-        t += dt
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
-        if t >= next_obs - 1e-12 or t >= t_final - 1e-14:
-            observe(c, t)
-            next_obs = t + observe_every
-    return EvolveResult(state=monitor_state(c, t), records=records)
+            observer(norms["t"], norms)
+    final = replace(state, theta=SpectralField(state.theta.grid, c), t=norms["t"])
+    return EvolveResult(state=final, records=records)

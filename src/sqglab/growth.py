@@ -4,6 +4,8 @@ estimate escape times, and regress the escape-time law against ln(1/eps).
 
 Each run co-evolves the linear semigroup from the same data, so the recorded
 Duhamel residual ||theta(t) - e^{Lt} eps phi|| isolates the nonlinear part.
+The run is `dynamics.integrate`, the time loop `dynamics.evolve` uses, on a
+stack whose slot 1 is the linear solution: one kernel call advances both.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import StepperConfig, SteadyState, _Workspace, PERTURBATION
-from .errors import BlowUpError, DomainError, FitError
-from .linop import SpectrumResult, _LinWorkspace
-from .spectral import SpectralField, norm_l2, to_values
+from .dynamics import PERTURBATION, StepperConfig, SteadyState, integrate
+from .errors import DomainError, FitError
+from .linop import SpectrumResult
+from .spectral import SpectralField, norm_l2
 
 
 @dataclass
@@ -104,72 +106,33 @@ def run_perturbation(
     if epsilon < 0 or epsilon > 1:
         raise DomainError("epsilon must lie in [0, 1]")
     steady = config.steady
-    g = steady.grid
     lam = config.spectrum.rightmost.real
     vacuous = lam <= 0
 
     psi = real_eigenfunction(config.spectrum)
-    ws_nl = _Workspace(steady, PERTURBATION)
-    ws_lin = _LinWorkspace(steady)
     c = epsilon * psi.coeffs
-    c_lin = c.copy()
-    t = 0.0
-
-    guard = 1e3 * max(_grad_linf_full(c, steady, g), 1.0)
     rows: list[tuple[float, ...]] = []
     envelope_time = None
-    sqrt_k = np.sqrt(g.kmag)
-
-    def record(cc, cc_lin, tt):
-        nonlocal envelope_time
-        full = cc + steady.theta0.coeffs
-        grad_full = _grad_linf_full(cc, steady, g)
-        if grad_full > guard:
-            raise BlowUpError(f"gradient guard tripped at t={tt:.6f}", t=tt)
-        l2 = 2 * np.pi * float(np.linalg.norm(cc))
-        linf_full = float(np.max(np.abs(to_values(full, g.n).real)))
-        duh = 2 * np.pi * float(np.linalg.norm(cc - cc_lin))
-        hhalf = 2 * np.pi * float(np.linalg.norm(sqrt_k * cc))
-        flux = (2 * np.pi) ** 2 * (
-            2.0 * float(np.vdot(full, steady.f.coeffs).real)
-            - 2.0 * float(np.sum(g.kmag * np.abs(full) ** 2))
+    run = integrate(
+        steady, PERTURBATION, np.stack([c, c]), 0.0, config.t_max,
+        config.stepper, config.observe_every,
+    )
+    for (c, c_lin), norms, full in run:
+        t, l2 = norms["t"], norms["l2"]
+        duh = 2 * np.pi * float(np.linalg.norm(c - c_lin))
+        rows.append(
+            (t, l2, full["linf"], full["linf_grad"], duh, norms["hhalf"], full["energy_flux"])
         )
-        rows.append((tt, l2, linf_full, grad_full, duh, hhalf, flux))
         if (
             envelope_time is None
             and lam > 0
-            and l2 > epsilon * config.envelope_radius * np.exp(lam * tt)
+            and l2 > epsilon * config.envelope_radius * np.exp(lam * t)
         ):
-            envelope_time = tt
+            envelope_time = t
         if field_observer is not None:
-            field_observer(tt, full)
-        return l2
-
-    record(c, c_lin, t)
-    next_obs = config.observe_every
-    e1 = e2 = None
-    dt_prev = None
-    while t < config.t_max - 1e-12:
-        umax = max(ws_nl.advecting_velocity_linf(c), config.stepper.velocity_floor)
-        dt = min(
-            config.stepper.dt_max,
-            config.stepper.cfl * g.dx / umax,
-            next_obs - t,
-            config.t_max - t,
-        )
-        if dt != dt_prev:
-            e1, e2 = ws_nl.decay_factors(dt)
-            dt_prev = dt
-        c = _if_rk4(ws_nl.explicit_rhs, c, dt, e1, e2)
-        c_lin = _if_rk4(ws_lin.advection, c_lin, dt, e1, e2)
-        t += dt
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
-        if t >= next_obs - 1e-12 or t >= config.t_max - 1e-12:
-            l2_now = record(c, c_lin, t)
-            next_obs = t + config.observe_every
-            if l2_now >= config.threshold:
-                break
+            field_observer(t, c + steady.theta0.coeffs)
+        if l2 >= config.threshold:
+            break
 
     arr = np.array(rows)
     rec = GrowthRecord(
@@ -198,23 +161,6 @@ def run_perturbation(
         except FitError:
             rec.lambda_hat = None
     return rec
-
-
-def _if_rk4(rhs, c, dt, e1, e2):
-    k1 = rhs(c)
-    k2 = rhs(e1 * (c + (0.5 * dt) * k1))
-    k3 = rhs(e1 * c + (0.5 * dt) * k2)
-    k4 = rhs(e2 * c + dt * (e1 * k3))
-    out = e2 * c + (dt / 6.0) * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
-    out[..., 0, 0] = 0.0
-    return out
-
-
-def _grad_linf_full(c, steady: SteadyState, g) -> float:
-    full = c + steady.theta0.coeffs
-    g1 = to_values(full * (1j * g.k1) * g.nyquist_mask, g.n).real
-    g2 = to_values(full * (1j * g.k2) * g.nyquist_mask, g.n).real
-    return float(np.max(np.hypot(g1, g2)))
 
 
 def fit_growth_rate(

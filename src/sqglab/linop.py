@@ -2,19 +2,22 @@
 about a steady state, its shifted version L - shift, dense truncated assembly,
 rightmost-eigenpair computation, and the linear semigroup.
 
-Applying L through the same dealiased spectral kernels used by the time
-stepper means that with truncation K = floor(n/3) the assembled matrix is an
-exact representation of the implemented operator on the retained modes, so
-eigenpair residuals are limited only by the eigensolver arithmetic.
+L is applied through `dynamics.advection`, the kernel the time stepper uses,
+in its linearized variant, and the semigroup is stepped by the same
+`dynamics.if_rk4_step`.  With truncation K = floor(n/3) the assembled matrix
+is therefore an exact representation of the implemented operator on the
+retained modes, so eigenpair residuals are limited only by the eigensolver
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .dynamics import SteadyState
+from .dynamics import SteadyState, advection, decay_factors, if_rk4_step
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -25,11 +28,9 @@ from .errors import (
 from .spectral import (
     GridSpec,
     SpectralField,
-    derivative,
     lambda_pow,
     norm_l2,
     to_coeffs,
-    to_values,
 )
 
 DENSE_CAP_DEFAULT = 5000
@@ -45,56 +46,20 @@ class LinearOperator:
     def __post_init__(self):
         if not np.isfinite(self.shift):
             raise DomainError("operator shift must be finite")
-        self._ws = _LinWorkspace(self.steady)
 
     @property
     def grid(self) -> GridSpec:
         return self.steady.grid
 
 
-class _LinWorkspace:
-    """Cached steady-state collocation arrays for fast repeated application."""
+def _linearized(op: LinearOperator):
+    """c -> -q0.grad(c) - q(c).grad(theta0): L less its dissipation."""
+    return partial(advection, grid=op.grid, base=op.steady.advection_base, nonlinear=0.0)
 
-    def __init__(self, steady: SteadyState):
-        g = steady.grid
-        self.grid = g
-        self.q0_1 = to_values(steady.q0[0].coeffs, g.n).real
-        self.q0_2 = to_values(steady.q0[1].coeffs, g.n).real
-        self.dth0_1 = to_values(derivative(steady.theta0, 1).coeffs, g.n).real
-        self.dth0_2 = to_values(derivative(steady.theta0, 2).coeffs, g.n).real
-        self._decay = {}
 
-    def advection(self, c: np.ndarray) -> np.ndarray:
-        """-q0.grad(theta) - q.grad(theta0), dealiased; supports batched input."""
-        g = self.grid
-        n = g.n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_k = np.where(g.kmag > 0, 1.0 / g.kmag, 0.0)
-        mask = g.nyquist_mask
-        axes = (-2, -1)
-        u1 = np.fft.ifft2(c * (1j * g.k2) * inv_k * mask, axes=axes) * n**2
-        u2 = np.fft.ifft2(c * (-1j * g.k1) * inv_k * mask, axes=axes) * n**2
-        d1 = np.fft.ifft2(c * (1j * g.k1) * mask, axes=axes) * n**2
-        d2 = np.fft.ifft2(c * (1j * g.k2) * mask, axes=axes) * n**2
-        prod = self.q0_1 * d1 + self.q0_2 * d2 + u1 * self.dth0_1 + u2 * self.dth0_2
-        out = -np.fft.fft2(prod, axes=axes) / n**2
-        out *= g.dealias_mask
-        out[..., 0, 0] = 0.0
-        return out
-
-    def apply(self, c: np.ndarray, shift: float) -> np.ndarray:
-        return self.advection(c) - (self.grid.kmag + shift) * c
-
-    def decay_factors(self, dt: float, shift: float):
-        key = (dt, shift)
-        got = self._decay.get(key)
-        if got is None:
-            half = np.exp(-(self.grid.kmag + shift) * (0.5 * dt))
-            got = (half, half * half)
-            if len(self._decay) > 8:
-                self._decay.clear()
-            self._decay[key] = got
-        return got
+def _apply(op: LinearOperator, c: np.ndarray) -> np.ndarray:
+    """(L - shift) c for coefficients with any leading axes."""
+    return _linearized(op)(c) - (op.grid.kmag + op.shift) * c
 
 
 def apply_L(op: LinearOperator, theta: SpectralField) -> SpectralField:
@@ -103,7 +68,7 @@ def apply_L(op: LinearOperator, theta: SpectralField) -> SpectralField:
         raise ConfigurationError("field grid does not match operator grid")
     if not theta.mean_free:
         raise DomainError("apply_L requires a mean-free field")
-    return SpectralField(op.grid, op._ws.apply(theta.coeffs, op.shift))
+    return SpectralField(op.grid, _apply(op, theta.coeffs))
 
 
 def truncation_modes(K: int) -> list[tuple[int, int]]:
@@ -134,13 +99,13 @@ def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> 
     rows = np.array([k1 % g.n for k1, _ in modes])
     cols = np.array([k2 % g.n for _, k2 in modes])
     A = np.empty((M, M), dtype=np.complex128)
-    chunk = max(1, min(64, M))
+    chunk = max(1, min(32, M))
     for start in range(0, M, chunk):
         stop = min(start + chunk, M)
         basis = np.zeros((stop - start, g.n, g.n), dtype=np.complex128)
         for b, j in enumerate(range(start, stop)):
             basis[b, rows[j], cols[j]] = 1.0
-        out = op._ws.apply(basis, op.shift)
+        out = _apply(op, basis)
         A[:, start:stop] = out[:, rows, cols].T
     return A
 
@@ -231,8 +196,16 @@ def _rightmost_dense(op: LinearOperator, K: int, cap: int) -> SpectrumResult:
 
 
 def _residual(op: LinearOperator, phi: SpectralField, mu: complex) -> float:
-    r = op._ws.apply(phi.coeffs, op.shift) - mu * phi.coeffs
+    r = _apply(op, phi.coeffs) - mu * phi.coeffs
     return 2.0 * np.pi * float(np.linalg.norm(r))
+
+
+def _random_band(g: GridSpec, rng, band: int) -> np.ndarray:
+    """Coefficients of a random real mean-free field on 0 < max(|k1|,|k2|) <= band."""
+    c = to_coeffs(rng.standard_normal((g.n, g.n)), g.n)
+    c *= (np.abs(g.k1) <= band) & (np.abs(g.k2) <= band) & g.dealias_mask
+    c[0, 0] = 0.0
+    return c
 
 
 def _orthonormalize(v1: np.ndarray, v2: np.ndarray):
@@ -262,16 +235,7 @@ def _rightmost_power(
     """
     g = op.grid
     rng = np.random.default_rng(seed)
-    band = (np.abs(g.k1) <= K) & (np.abs(g.k2) <= K) & g.dealias_mask
-
-    def random_real_field():
-        v = rng.standard_normal((g.n, g.n))
-        c = to_coeffs(v, g.n)
-        c *= band
-        c[0, 0] = 0.0
-        return c
-
-    v1, v2 = _orthonormalize(random_real_field(), random_real_field())
+    v1, v2 = _orthonormalize(_random_band(g, rng, K), _random_band(g, rng, K))
     prev = None
     re_mu = None
     prop_res = np.inf
@@ -324,22 +288,16 @@ def _rightmost_power(
 def _evolve_linear_coeffs(
     op: LinearOperator, c: np.ndarray, t: float, dt_target: float
 ) -> np.ndarray:
-    """Integrating-factor RK4 for d_t theta = (L - shift) theta; batched-capable."""
+    """Fixed-step IF-RK4 for d_t theta = (L - shift) theta; batched-capable."""
     if t == 0.0:
         return c.copy()
-    ws = op._ws
     steps = max(1, int(np.ceil(t / dt_target)))
     dt = t / steps
-    e1, e2 = ws.decay_factors(dt, op.shift)
-    out = c.copy()
+    e1, e2 = decay_factors(op.grid, dt, op.shift)
+    explicit = _linearized(op)
     for _ in range(steps):
-        k1 = ws.advection(out)
-        k2 = ws.advection(e1 * (out + (0.5 * dt) * k1))
-        k3 = ws.advection(e1 * out + (0.5 * dt) * k2)
-        k4 = ws.advection(e2 * out + dt * (e1 * k3))
-        out = e2 * out + (dt / 6.0) * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
-        out[..., 0, 0] = 0.0
-    return out
+        c = if_rk4_step(explicit, c, dt, e1, e2)
+    return c
 
 
 def evolve_linear(
@@ -391,13 +349,9 @@ def smoothing_probe_supremum(
     """Empirical constant: sup of the probe ratio over random band-limited fields."""
     g = op_delta.grid
     rng = np.random.default_rng(seed)
-    mask = (np.abs(g.k1) <= band) & (np.abs(g.k2) <= band) & g.dealias_mask
     best = 0.0
     for _ in range(n_samples):
-        c = to_coeffs(rng.standard_normal((g.n, g.n)), g.n)
-        c *= mask
-        c[0, 0] = 0.0
-        v = SpectralField(g, c)
+        v = SpectralField(g, _random_band(g, rng, band))
         for t in t_grid:
             best = max(best, smoothing_probe(op_delta, v, float(t), gamma_interp, dt_target))
     return best

@@ -74,6 +74,19 @@ class GridSpec:
         ny = -(self.n // 2)
         return (self.k1 != ny) & (self.k2 != ny)
 
+    @cached_property
+    def advection_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symbols of (u1, u2, d_1, d_2) with u = (R2, -R1), as two (4, n, n)
+        factors applied in turn: i k_j, then 1/|k| (velocity) or 1 (gradient)
+        times the Nyquist mask.  Their product would round differently, and
+        the dense eigenvector of a degenerate rightmost eigenvalue follows the
+        last bit of the assembled matrix."""
+        with np.errstate(divide="ignore"):
+            inv_k = np.where(self.kmag > 0, 1.0 / self.kmag, 0.0)
+        one = np.ones_like(inv_k)
+        ik = np.stack([1j * self.k2, -1j * self.k1, 1j * self.k1, 1j * self.k2])
+        return ik, np.stack([inv_k, inv_k, one, one]) * self.nyquist_mask
+
 
 @dataclass
 class SpectralField:
@@ -204,22 +217,15 @@ def velocity_from_theta(s: SpectralField):
 
 def derivative(s: SpectralField, j: int) -> SpectralField:
     """Partial derivative d_j, symbol i k_j, Nyquist row zeroed."""
-    g = s.grid
-    kj = g.k1 if j == 1 else g.k2 if j == 2 else None
-    if kj is None:
+    if j not in (1, 2):
         raise DomainError(f"derivative direction must be 1 or 2, got {j}")
-    return SpectralField(g, s.coeffs * (1j * kj) * g.nyquist_mask)
+    ik, scale = s.grid.advection_symbols
+    return SpectralField(s.grid, s.coeffs * ik[j + 1] * scale[j + 1])
 
 
 def dealias(s: SpectralField) -> SpectralField:
     """2/3-rule projection: zero modes with max(|k1|,|k2|) > n/3."""
     return SpectralField(s.grid, s.coeffs * s.grid.dealias_mask)
-
-
-def project_mean_free(s: SpectralField) -> SpectralField:
-    c = s.coeffs.copy()
-    c[0, 0] = 0.0
-    return SpectralField(s.grid, c)
 
 
 def embed(s: SpectralField, grid: GridSpec) -> SpectralField:
@@ -283,28 +289,3 @@ def inner_l2(a: SpectralField, b: SpectralField) -> float:
     """(a, b)_{L2} for real fields, computed spectrally."""
     return TWO_PI**2 * float(np.vdot(b.coeffs, a.coeffs).real)
 
-
-# -- raw-coefficient kernels (shared by the dynamics and operator modules) ----
-
-def advective_product(n: int, u1_vals, u2_vals, c_theta, grid: GridSpec) -> np.ndarray:
-    """Dealiased, mean-zeroed coefficients of u . grad(theta).
-
-    Velocity enters as (possibly complex) collocation values; theta as
-    coefficients.  Used with complex basis vectors during dense assembly.
-    """
-    d1 = to_values(c_theta * (1j * grid.k1) * grid.nyquist_mask, n)
-    d2 = to_values(c_theta * (1j * grid.k2) * grid.nyquist_mask, n)
-    prod = to_coeffs(u1_vals * d1 + u2_vals * d2, n)
-    prod *= grid.dealias_mask
-    prod[0, 0] = 0.0
-    return prod
-
-
-def velocity_values(c_theta: np.ndarray, grid: GridSpec):
-    """Collocation values of the induced velocity (R2 theta, -R1 theta)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_k = np.where(grid.kmag > 0, 1.0 / grid.kmag, 0.0)
-    mask = grid.nyquist_mask
-    u1 = to_values(c_theta * (1j * grid.k2) * inv_k * mask, grid.n)
-    u2 = to_values(c_theta * (-1j * grid.k1) * inv_k * mask, grid.n)
-    return u1, u2

@@ -64,8 +64,13 @@ out_dir = results
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    with pytest.raises(errors.ValidationError, match="unknown key"):
-        load_config(write_config(tmp_path / "c.ini", "[grid]\nn = 64\nfoo = 1\n"))
+    for text in (
+        "[grid]\nn = 64\nfoo = 1\n",
+        "[experiment]\ngamma_interp = 0.5\n",
+        "[experiment]\ndelta_shift = 0.1\n",
+    ):
+        with pytest.raises(errors.ValidationError, match="unknown key"):
+            load_config(write_config(tmp_path / "c.ini", text))
 
 
 def test_config_rejects_unknown_section(tmp_path):
@@ -171,6 +176,26 @@ def test_cmd_steady_custom_file_nonzero_mean(tmp_path):
     out = tmp_path / "out"
     assert main(["steady", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # validation failures leave no partial output
+
+
+def test_cmd_missing_input_file_is_validation_error(tmp_path):
+    missing = tmp_path / "missing.sqgf"
+    cases = (
+        ("steady", f"[grid]\nn = 16\n[steady]\nkind = custom-file\nfile = {missing}\n"),
+        ("evolve", f"[grid]\nn = 16\n[steady]\nm = 2\n[time]\ninitial = {missing}\n"),
+    )
+    for command, text in cases:
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.ini", text)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_cmd_negative_seed_is_validation_error(tmp_path):
+    cfg = write_config(tmp_path / "m.ini", MODULUS_SMALL)
+    out = tmp_path / "o"
+    assert main(["modulus", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
 
 
 def test_cmd_spectrum_zero_state(tmp_path):

@@ -11,6 +11,7 @@ from sqglab.dynamics import (
     PERTURBATION,
     EvolutionState,
     StepperConfig,
+    advection,
     cfl_dt,
     evolve,
     make_steady,
@@ -144,6 +145,37 @@ def test_rhs_mode_consistency(g64):
     # rhs(full) = rhs(steady) + [L theta + N(theta)] and rhs(steady) = 0
     diff = np.max(np.abs(full.coeffs - pert.coeffs))
     assert diff < 1e-10
+
+
+def band_limited(grid, rng, kmax=6, amp=0.1):
+    """Random real field on the modes 0 < max(|k1|, |k2|) <= kmax."""
+    c = np.fft.fft2(rng.standard_normal((grid.n, grid.n))) / grid.n**2
+    c *= (np.abs(grid.k1) <= kmax) & (np.abs(grid.k2) <= kmax)
+    c[0, 0] = 0.0
+    return amp * c
+
+
+def test_advection_perturbation_is_linearized_plus_full(g64):
+    ss = shear_steady_state(g64, m=2, amplitude=10.0)
+    c = band_limited(g64, np.random.default_rng(5))
+    full = advection(c, g64)
+    lin = advection(c, g64, ss.advection_base, 0.0)
+    pert = advection(c, g64, ss.advection_base, 1.0)
+    assert np.max(np.abs(pert - (lin + full))) < 1e-13 * np.max(np.abs(pert))
+
+
+def test_advection_batched_matches_slices(g64):
+    ss = shear_steady_state(g64, m=2, amplitude=10.0)
+    rng = np.random.default_rng(6)
+    stack = np.stack([band_limited(g64, rng) for _ in range(3)])
+    weights = np.array([1.0, 0.0, 1.0])
+    batched = advection(stack, g64, ss.advection_base, weights[:, None, None])
+    full = advection(stack, g64)
+    for i, w in enumerate(weights):
+        scale = np.max(np.abs(batched[i]))
+        single = advection(stack[i], g64, ss.advection_base, w)
+        assert np.max(np.abs(batched[i] - single)) < 1e-14 * scale
+        assert np.max(np.abs(full[i] - advection(stack[i], g64))) < 1e-14 * scale
 
 
 def test_cfl_dt_formula(g64):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqglab import errors
-from sqglab.dynamics import StepperConfig, shear_steady_state
+from sqglab.dynamics import (
+    PERTURBATION,
+    EvolutionState,
+    StepperConfig,
+    evolve,
+    shear_steady_state,
+)
 from sqglab.growth import (
     ExperimentConfig,
     GrowthRecord,
@@ -17,7 +23,7 @@ from sqglab.growth import (
     run_perturbation,
 )
 from sqglab.linop import LinearOperator, rightmost_eigenpair
-from sqglab.spectral import GridSpec, norm_l2
+from sqglab.spectral import GridSpec, SpectralField, norm_l2
 
 
 def synthetic_record(t, l2):
@@ -119,6 +125,21 @@ def test_run_zero_epsilon_is_fixed_point(lab):
     rec = run_perturbation(cfg, 0.0)
     assert np.all(rec.l2 == 0.0)
     assert rec.escape_time is None
+
+
+def test_run_perturbation_matches_evolve():
+    # the co-evolved linear slot must not change the perturbation it rides with
+    g = GridSpec(24)
+    ss = shear_steady_state(g, m=2, amplitude=10.0)
+    spec = rightmost_eigenpair(LinearOperator(ss), K=g.dealias_radius)
+    cfg = make_config(ss, spec, [1e-2], t_max=1.0, observe_every=0.05)
+    rec = run_perturbation(cfg, 1e-2)
+    theta = SpectralField(g, 1e-2 * real_eigenfunction(spec).coeffs)
+    res = evolve(EvolutionState(theta, 0.0, ss, PERTURBATION), 1.0, cfg.stepper, observe_every=0.05)
+    t = np.array([r["t"] for r in res.records])
+    l2 = np.array([r["l2"] for r in res.records])
+    assert rec.t.size == 21 and np.array_equal(rec.t, t)
+    assert np.max(np.abs(rec.l2 - l2)) < 1e-12 * np.max(l2)
 
 
 @pytest.fixture(scope="module")
