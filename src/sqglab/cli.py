@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .growth import ExperimentConfig, GrowthRecord, epsilon_sweep, run_perturbation
-from .linop import LinearOperator, SpectrumResult, rightmost_eigenpair
+from .linop import LinearOperator, SpectrumResult, dense_dimension, rightmost_eigenpair
 from .modulus import (
     ModulusParams,
     choose_B,
@@ -230,11 +231,6 @@ def _series_rows(rec: GrowthRecord):
 _SERIES_HEADER = ["t", "l2", "linf", "linf_grad", "hhalf", "energy_flux", "duhamel_residual"]
 
 
-def _run_one(args):
-    config, eps = args
-    return run_perturbation(config, eps)
-
-
 def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
     steady = _build_steady(cfg)
     spectrum = _build_spectrum(cfg, steady)
@@ -253,8 +249,8 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         _write_csv(out / f"series_eps_{rec.epsilon:.3e}.csv", _SERIES_HEADER, _series_rows(rec))
         return 0
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, [(exp, e) for e in exp.epsilons]))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(exp.epsilons))) as pool:
+            records = list(pool.map(partial(run_perturbation, exp), exp.epsilons))
         report = epsilon_sweep(exp, records=records)
     else:
         report = epsilon_sweep(exp)
@@ -398,8 +394,15 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and not 0 <= args.seed <= 2**64 - 1:
             raise ValidationError("--seed must be a 64-bit unsigned integer")
+        if args.jobs < 1:
+            raise ValidationError("--jobs must be at least 1")
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.io.out_dir)
+        # a dense spectrum over its size cap fails before any computation
+        if cfg.spectrum.method == "dense" and (
+            args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
+        ):
+            dense_dimension(cfg.spectrum.K or GridSpec(cfg.grid.n).dealias_radius)
         if args.command == "steady":
             return cmd_steady(cfg, out)
         if args.command == "spectrum":

@@ -221,20 +221,19 @@ def step(state: EvolutionState, dt: float, config: StepperConfig | None = None) 
 
 
 def observed_norms(state: EvolutionState) -> dict[str, float]:
-    theta = state.theta
+    """l2 and hhalf of the evolved field; linf, linf_grad and the energy flux of
+    the full field theta0 + theta (the same field in full mode)."""
+    theta, full = state.theta, state.full_theta()
     hhalf = norm_hs(theta, 0.5)
-    if state.mode == FULL:
-        # d/dt ||Theta||_{L2}^2 = 2 (f, Theta) - 2 ||Lambda^{1/2} Theta||^2
-        flux = 2.0 * inner_l2(state.steady.f, theta) - 2.0 * hhalf**2
-    else:
-        flux = float("nan")  # energy ledger is kept for the full equation only
+    hhalf_full = hhalf if state.mode == FULL else norm_hs(full, 0.5)
     return {
         "t": state.t,
         "l2": norm_l2(theta),
-        "linf": norm_linf(theta),
-        "linf_grad": norm_linf_grad(theta),
+        "linf": norm_linf(full),
+        "linf_grad": norm_linf_grad(full),
         "hhalf": hhalf,
-        "energy_flux": flux,
+        # d/dt ||Theta||_{L2}^2 = 2 (f, Theta) - 2 ||Lambda^{1/2} Theta||^2
+        "energy_flux": 2.0 * inner_l2(state.steady.f, full) - 2.0 * hhalf_full**2,
     }
 
 
@@ -248,20 +247,18 @@ def integrate(
     observe_every: float,
     grad_guard_factor: float = 1e3,
 ):
-    """The time loop: yield (c, norms, full_norms) at the start, at every
-    observation time and at t_final; the caller stops the run early by leaving
-    the loop.
+    """The time loop: yield (c, norms) at the start, at every observation time
+    and at t_final; the caller stops the run early by leaving the loop.
 
     c holds the coefficients of the field in `mode`.  In perturbation mode c may
     be a (2, n, n) stack whose slot 1 is the co-evolved linear solution: one
     kernel call advances both slots with the same steps, slot 1 with the
-    linearized variant.  The CFL step and the norms read slot 0 only: norms
-    are its `observed_norms` plus linf_full and linf_grad_full, full_norms the
-    `observed_norms` of the full field (the same dict in full mode).
+    linearized variant.  The CFL step and the norms (`observed_norms`) read
+    slot 0 only.
 
-    Raises BlowUpError on non-finite coefficients, or when linf_grad_full
-    exceeds grad_guard_factor times max(its initial value, 1), with the norms
-    as diagnostics.
+    Raises BlowUpError on non-finite coefficients, or when the full-field
+    linf_grad exceeds grad_guard_factor times max(its initial value, 1), with
+    the norms as diagnostics.
     """
     g = steady.grid
     stacked = c.ndim == 3
@@ -272,20 +269,16 @@ def integrate(
 
     if not np.all(np.isfinite(c)):
         raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
-    guard = grad_guard_factor * max(norm_linf_grad(state_at(c, t).full_theta()), 1.0)
+    norms = observed_norms(state_at(c, t))
+    guard = grad_guard_factor * max(norms["linf_grad"], 1.0)
 
     def observed(cc, tt):
-        state = state_at(cc, tt)
-        norms = observed_norms(state)
-        full = norms
-        if mode == PERTURBATION:
-            full = observed_norms(replace(state, theta=state.full_theta(), mode=FULL))
-        norms["linf_grad_full"], norms["linf_full"] = full["linf_grad"], full["linf"]
-        if norms["linf_grad_full"] > guard:
+        norms = observed_norms(state_at(cc, tt))
+        if norms["linf_grad"] > guard:
             raise BlowUpError(f"gradient guard tripped at t={tt:.6f}", t=tt, diagnostics=norms)
-        return cc, norms, full
+        return cc, norms
 
-    yield observed(c, t)
+    yield c, norms
     next_obs = t + observe_every
     dt_prev = None
     while t < t_final - 1e-14:
@@ -328,7 +321,7 @@ def evolve(
         state.steady, state.mode, state.theta.coeffs.copy(), state.t, t_final,
         config, observe_every, grad_guard_factor,
     )
-    for c, norms, _ in run:
+    for c, norms in run:
         records.append(norms)
         if observer is not None:
             observer(norms["t"], norms)

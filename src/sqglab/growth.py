@@ -111,18 +111,16 @@ def run_perturbation(
 
     psi = real_eigenfunction(config.spectrum)
     c = epsilon * psi.coeffs
-    rows: list[tuple[float, ...]] = []
+    rows: list[dict[str, float]] = []
     envelope_time = None
     run = integrate(
         steady, PERTURBATION, np.stack([c, c]), 0.0, config.t_max,
         config.stepper, config.observe_every,
     )
-    for (c, c_lin), norms, full in run:
+    for (c, c_lin), norms in run:
         t, l2 = norms["t"], norms["l2"]
-        duh = 2 * np.pi * float(np.linalg.norm(c - c_lin))
-        rows.append(
-            (t, l2, full["linf"], full["linf_grad"], duh, norms["hhalf"], full["energy_flux"])
-        )
+        norms["duhamel_residual"] = 2 * np.pi * float(np.linalg.norm(c - c_lin))
+        rows.append(norms)
         if (
             envelope_time is None
             and lam > 0
@@ -134,16 +132,16 @@ def run_perturbation(
         if l2 >= config.threshold:
             break
 
-    arr = np.array(rows)
+    col = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     rec = GrowthRecord(
         epsilon=epsilon,
-        t=arr[:, 0],
-        l2=arr[:, 1],
-        linf_full=arr[:, 2],
-        linf_grad_full=arr[:, 3],
-        duhamel_residual=arr[:, 4],
-        hhalf=arr[:, 5],
-        energy_flux=arr[:, 6],
+        t=col["t"],
+        l2=col["l2"],
+        linf_full=col["linf"],
+        linf_grad_full=col["linf_grad"],
+        duhamel_residual=col["duhamel_residual"],
+        hhalf=col["hhalf"],
+        energy_flux=col["energy_flux"],
         envelope_time=envelope_time,
         vacuous=vacuous,
     )

@@ -7,7 +7,8 @@ in its linearized variant, and the semigroup is stepped by the same
 `dynamics.if_rk4_step`.  With truncation K = floor(n/3) the assembled matrix
 is therefore an exact representation of the implemented operator on the
 retained modes, so eigenpair residuals are limited only by the eigensolver
-arithmetic.
+arithmetic.  Grids too large to assemble use ARPACK on the matrix-free
+propagator e^{tau (L - shift)} instead, over the same mode index.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
+from scipy.sparse.linalg import eigs
 
 from .dynamics import SteadyState, advection, decay_factors, if_rk4_step
 from .errors import (
@@ -81,6 +85,20 @@ def truncation_modes(K: int) -> list[tuple[int, int]]:
     ]
 
 
+def mode_index(grid: GridSpec, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array indices (rows, cols) of `truncation_modes(K)` in a coefficient array."""
+    k = np.array(truncation_modes(K), dtype=int).reshape(-1, 2) % grid.n
+    return k[:, 0], k[:, 1]
+
+
+def dense_dimension(K: int, cap: int = DENSE_CAP_DEFAULT) -> int:
+    """Size of the dense section at truncation K; ResourceError above cap."""
+    M = (2 * K + 1) ** 2 - 1
+    if M > cap:
+        raise ResourceError(f"dense dimension {M} exceeds cap {cap}")
+    return M
+
+
 def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Finite section of L - shift on span{e^{ik.x} : 0 < max|k_i| <= K}.
 
@@ -92,19 +110,14 @@ def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> 
         raise ResolutionError(
             f"truncation K={K} exceeds the alias-free radius n/3={g.dealias_radius}"
         )
-    modes = truncation_modes(K)
-    M = len(modes)
-    if M > cap:
-        raise ResourceError(f"dense dimension {M} exceeds cap {cap}")
-    rows = np.array([k1 % g.n for k1, _ in modes])
-    cols = np.array([k2 % g.n for _, k2 in modes])
+    M = dense_dimension(K, cap)
+    rows, cols = mode_index(g, K)
     A = np.empty((M, M), dtype=np.complex128)
     chunk = max(1, min(32, M))
     for start in range(0, M, chunk):
         stop = min(start + chunk, M)
         basis = np.zeros((stop - start, g.n, g.n), dtype=np.complex128)
-        for b, j in enumerate(range(start, stop)):
-            basis[b, rows[j], cols[j]] = 1.0
+        basis[np.arange(stop - start), rows[start:stop], cols[start:stop]] = 1.0
         out = _apply(op, basis)
         A[:, start:stop] = out[:, rows, cols].T
     return A
@@ -115,10 +128,12 @@ class SpectrumResult:
     """Eigenvalues of the truncated operator and the rightmost eigenpair.
 
     residual is ||L phi - mu phi||_{L2}.  For the dense method at
-    K = floor(n/3) it is at rounding level.  For the semigroup power method
-    the eigenpair is certified by propagator_residual = ||E(tau) phi - g phi||
-    instead: its L-residual is limited by the O(dt^4) discretization of the
-    propagator, not by iteration convergence.
+    K = floor(n/3) it is at rounding level.  For the iterative method (ARPACK
+    on the propagator E(tau)) eigenvalues holds the two Ritz values
+    log(g) / tau, iterations counts propagator applications, and the
+    eigenpair is certified by propagator_residual = 2 pi ||E(tau) x - g x||
+    for the unit coefficient vector x instead: its L-residual is limited by
+    the O(dt^4) discretization of the propagator, not by convergence.
     """
 
     truncation: int
@@ -130,15 +145,10 @@ class SpectrumResult:
     iterations: int = 0
     propagator_residual: float = 0.0
 
-    @property
-    def growth_rate(self) -> float:
-        return float(self.rightmost.real)
 
-
-def _embed(modes, vec, grid: GridSpec) -> np.ndarray:
+def _embed(index, vec, grid: GridSpec) -> np.ndarray:
     c = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for (k1, k2), a in zip(modes, vec):
-        c[k1 % grid.n, k2 % grid.n] = a
+    c[index] = vec
     return c
 
 
@@ -158,46 +168,47 @@ def rightmost_eigenpair(
     method: str = "dense",
     cap: int = DENSE_CAP_DEFAULT,
     tau_pow: float = 0.5,
-    tol: float = 1e-7,
+    tol: float = 1e-10,
     max_iter: int = 400,
     dt_linear: float = 1e-3,
     seed: int = 0,
-    pow_residual_tol: float = 1e-9,
 ) -> SpectrumResult:
-    """Rightmost eigenpair of L - shift by dense solve or semigroup power iteration."""
+    """Rightmost eigenpair of L - shift by dense solve on the truncation K, or
+    (method "power") by ARPACK on e^{tau_pow (L - shift)} over all alias-free
+    modes from a seeded random start of band K; tol bounds its relative
+    propagator residual and max_iter its restarts."""
     K = op.grid.dealias_radius if K is None else K
     if method == "dense":
         return _rightmost_dense(op, K, cap)
     if method == "power":
-        return _rightmost_power(
-            op, K, tau_pow, tol, max_iter, dt_linear, seed, pow_residual_tol
-        )
+        return _rightmost_power(op, K, tau_pow, tol, max_iter, dt_linear, seed)
     raise DomainError(f"unknown eigensolver method {method!r}")
 
 
-def _rightmost_dense(op: LinearOperator, K: int, cap: int) -> SpectrumResult:
-    A = assemble_dense(op, K, cap=cap)
-    w, V = np.linalg.eig(A)
-    order = np.lexsort((-w.imag, -w.real))
-    top = order[0]
-    modes = truncation_modes(K)
-    c = _normalize_phase(_embed(modes, V[:, top], op.grid))
-    phi = SpectralField(op.grid, c)
+def _rightmost_index(w: np.ndarray) -> int:
+    """Largest real part first, then largest imaginary part."""
+    return int(np.lexsort((-w.imag, -w.real))[0])
+
+
+def _result(op, K, index, w, top, vec, method, **extra) -> SpectrumResult:
+    phi = SpectralField(op.grid, _normalize_phase(_embed(index, vec, op.grid)))
     mu = complex(w[top])
-    res = _residual(op, phi, mu)
+    r = _apply(op, phi.coeffs) - mu * phi.coeffs
     return SpectrumResult(
         truncation=K,
         eigenvalues=w,
         rightmost=mu,
         eigenfunction=phi,
-        residual=res,
-        method="dense",
+        residual=2.0 * np.pi * float(np.linalg.norm(r)),
+        method=method,
+        **extra,
     )
 
 
-def _residual(op: LinearOperator, phi: SpectralField, mu: complex) -> float:
-    r = _apply(op, phi.coeffs) - mu * phi.coeffs
-    return 2.0 * np.pi * float(np.linalg.norm(r))
+def _rightmost_dense(op: LinearOperator, K: int, cap: int) -> SpectrumResult:
+    w, V = np.linalg.eig(assemble_dense(op, K, cap=cap))
+    top = _rightmost_index(w)
+    return _result(op, K, mode_index(op.grid, K), w, top, V[:, top], "dense")
 
 
 def _random_band(g: GridSpec, rng, band: int) -> np.ndarray:
@@ -208,14 +219,6 @@ def _random_band(g: GridSpec, rng, band: int) -> np.ndarray:
     return c
 
 
-def _orthonormalize(v1: np.ndarray, v2: np.ndarray):
-    # projection coefficient is real for conjugate-symmetric (real-field) input
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 - np.vdot(v1, v2).real * v1
-    v2 = v2 / np.linalg.norm(v2)
-    return v1, v2
-
-
 def _rightmost_power(
     op: LinearOperator,
     K: int,
@@ -224,64 +227,37 @@ def _rightmost_power(
     max_iter: int,
     dt_linear: float,
     seed: int,
-    pow_residual_tol: float,
 ) -> SpectrumResult:
-    """Two-dimensional real subspace iteration on v -> e^{(L-shift) tau} v.
+    """ARPACK (implicitly restarted Arnoldi) on v -> e^{(L-shift) tau} v.
 
     The dominant eigenvalue of L is either real (possibly of multiplicity two
-    for symmetric steady states) or a conjugate pair; both cases live in a
-    two-dimensional real invariant subspace.  The complex pair is recovered
-    from the 2x2 Rayleigh quotient.
+    for symmetric steady states) or a conjugate pair: two Ritz values hold it.
     """
     g = op.grid
-    rng = np.random.default_rng(seed)
-    v1, v2 = _orthonormalize(_random_band(g, rng, K), _random_band(g, rng, K))
-    prev = None
-    re_mu = None
-    prop_res = np.inf
-    for it in range(1, max_iter + 1):
-        pair = np.stack([v1, v2])
-        prop = _evolve_linear_coeffs(op, pair, tau, dt_linear)
-        # 2x2 Rayleigh quotient in the current orthonormal basis
-        a11 = np.vdot(v1, prop[0]).real
-        a12 = np.vdot(v1, prop[1]).real
-        a21 = np.vdot(v2, prop[0]).real
-        a22 = np.vdot(v2, prop[1]).real
-        gvals, gvecs = np.linalg.eig(np.array([[a11, a12], [a21, a22]]))
-        dominant = int(np.argmax(np.abs(gvals)))
-        growth = gvals[dominant]
-        w = gvecs[:, dominant]
-        phi_c = w[0] * v1 + w[1] * v2
-        prop_res = 2.0 * np.pi * float(
-            np.linalg.norm(w[0] * prop[0] + w[1] * prop[1] - growth * phi_c)
-        )
-        re_mu = float(np.log(np.abs(growth)) / tau)
-        if prev is not None and abs(re_mu - prev) < tol and prop_res < pow_residual_tol:
-            break
-        prev = re_mu
-        v1, v2 = _orthonormalize(prop[0], prop[1])
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(rate estimate {re_mu}, propagator residual {prop_res:.3e})"
-        )
+    index = mode_index(g, g.dealias_radius)
+    calls = 0
 
-    mu = complex(np.log(growth + 0j) / tau)
-    c = _normalize_phase(phi_c)
-    phi = SpectralField(g, c)
-    res = _residual(op, phi, mu)
-    eigs = np.array(
-        [complex(np.log(z + 0j) / tau) for z in gvals], dtype=np.complex128
-    )
-    return SpectrumResult(
-        truncation=K,
-        eigenvalues=eigs,
-        rightmost=mu,
-        eigenfunction=phi,
-        residual=res,
-        method="power",
-        iterations=it,
-        propagator_residual=prop_res,
+    def propagate(x):
+        nonlocal calls
+        calls += 1
+        return _evolve_linear_coeffs(op, _embed(index, x.ravel(), g), tau, dt_linear)[index]
+
+    M = index[0].size
+    E = ScipyLinearOperator((M, M), matvec=propagate, dtype=np.complex128)
+    v0 = _random_band(g, np.random.default_rng(seed), K)[index]
+    try:
+        gvals, X = eigs(E, k=2, which="LM", v0=v0, tol=tol, maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not converge in {max_iter} restarts ({calls} propagator "
+            f"calls, {len(exc.eigenvalues)} of 2 Ritz values converged)"
+        ) from exc
+    mus = np.log(gvals) / tau
+    top = _rightmost_index(mus)
+    x = X[:, top]
+    prop_res = 2.0 * np.pi * float(np.linalg.norm(propagate(x) - gvals[top] * x))
+    return _result(
+        op, K, index, mus, top, x, "power", iterations=calls, propagator_residual=prop_res
     )
 
 

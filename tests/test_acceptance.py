@@ -28,6 +28,7 @@ from sqglab.linop import (
     SpectrumResult,
     evolve_linear,
     rightmost_eigenpair,
+    smoothing_probe_supremum,
     truncation_modes,
 )
 from sqglab.modulus import (
@@ -377,24 +378,12 @@ def test_criterion_10_smoothing_probe():
     delta = min(0.1, lam * gamma / 4)
     op_d = LinearOperator(ss, shift=lam + delta)
     ts = [0.01, 0.1, 0.5, 2.0]
-
-    def sup_ratio(band, seed):
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(20):
-            v = random_mean_free(g, rng, kmax=band)
-            nv = norm_l2(v)
-            nm = norm_l2(lambda_pow(v, -1.0))
-            cur, t_prev = v, 0.0
-            for t in ts:
-                cur = evolve_linear(op_d, cur, t - t_prev, dt_target=2e-3)
-                t_prev = t
-                ratio = t**gamma * norm_l2(cur) / (nv ** (1 - gamma) * nm**gamma)
-                best = max(best, ratio)
-        return best
-
-    c6 = sup_ratio(6, seed=0)
-    c10 = sup_ratio(10, seed=0)
+    c6, c10 = (
+        smoothing_probe_supremum(
+            op_d, gamma, band, ts, n_samples=20, seed=0, dt_target=2e-3
+        )
+        for band in (6, 10)
+    )
     stable = max(c6, c10) / min(c6, c10) < 2.0
 
     phi = spec.eigenfunction

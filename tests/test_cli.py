@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from sqglab import errors, sqgf
+from sqglab import cli, errors, sqgf
 from sqglab.cli import main
 from sqglab.config import load_config
 from sqglab.spectral import GridSpec, PhysicalField, meshgrid
@@ -196,6 +196,45 @@ def test_cmd_negative_seed_is_validation_error(tmp_path):
     out = tmp_path / "o"
     assert main(["modulus", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
     assert not out.exists()
+
+
+def test_cmd_bad_jobs_is_validation_error(tmp_path):
+    cfg = steady_ini(tmp_path, n=24, m=2, amplitude=10.0)
+    out = tmp_path / "o"
+    for jobs in ("0", "-3"):
+        assert main(["instability", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+
+
+def test_cmd_jobs_clamped_to_epsilons(tmp_path, monkeypatch):
+    # the pool is replaced before it starts, so no process is forked
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            raise Stop
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    cfg = steady_ini(
+        tmp_path, n=24, m=2, amplitude=10.0,
+        extra="[experiment]\nepsilons = 1e-2,1e-3,1e-4,1e-5\n",
+    )
+    with pytest.raises(Stop):
+        main(["instability", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "64"])
+    assert seen == [4]
+
+
+def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path):
+    # n = 108 without [spectrum] k: K = 36, dense dimension 5328 > 5000
+    cfg = write_config(tmp_path / "m.ini", MODULUS_SMALL.replace("n = 64", "n = 108"))
+    for args in (["spectrum"], ["instability"], ["modulus", "--trajectory"]):
+        out = tmp_path / "o"
+        assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 2
+        assert not out.exists()
 
 
 def test_cmd_spectrum_zero_state(tmp_path):

@@ -12,6 +12,7 @@ from sqglab.linop import (
     apply_L,
     assemble_dense,
     evolve_linear,
+    mode_index,
     rightmost_eigenpair,
     smoothing_probe,
     smoothing_probe_supremum,
@@ -157,6 +158,12 @@ def test_assemble_dense_matches_shear_oracle(m, a, K):
                 assert (i == j) or (k1 == l1 and abs(k2 - l2) == m)
 
 
+def test_mode_index_matches_truncation_modes():
+    g = GridSpec(16)
+    rows, cols = mode_index(g, 5)
+    assert list(zip(rows, cols)) == [(k1 % 16, k2 % 16) for k1, k2 in truncation_modes(5)]
+
+
 def test_assemble_dense_validation(g48, unstable):
     op = LinearOperator(unstable)
     with pytest.raises(errors.ResolutionError):
@@ -234,11 +241,21 @@ def test_power_on_zero_state():
     assert abs(res.rightmost.real - (-1.0)) < 1e-6
 
 
-def test_power_nonconvergence_raises(g48, unstable):
+def test_power_nonconvergence_raises():
+    # one ARPACK restart cannot reach a tolerance below rounding
+    op = LinearOperator(shear_steady_state(GridSpec(24), m=2, amplitude=10.0))
     with pytest.raises(errors.ConvergenceError):
-        rightmost_eigenpair(
-            LinearOperator(unstable), method="power", max_iter=2, tol=1e-14
-        )
+        rightmost_eigenpair(op, method="power", max_iter=1, tol=1e-17, dt_linear=2e-2)
+
+
+def test_power_deterministic():
+    op = LinearOperator(shear_steady_state(GridSpec(24), m=2, amplitude=10.0))
+    runs = [
+        rightmost_eigenpair(op, method="power", dt_linear=2e-2, seed=5) for _ in range(2)
+    ]
+    assert runs[0].rightmost == runs[1].rightmost
+    assert np.array_equal(runs[0].eigenfunction.coeffs, runs[1].eigenfunction.coeffs)
+    assert runs[0].iterations == runs[1].iterations
 
 
 def test_evolve_linear_pure_decay():
