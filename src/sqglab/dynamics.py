@@ -144,10 +144,8 @@ def advection(c: np.ndarray, grid: GridSpec, base=None, nonlinear=1.0) -> np.nda
     array broadcast over them, which gives each slot its own variant.
     """
     n = grid.n
-    ik, scale = grid.advection_symbols
     shape = (4,) + (1,) * (c.ndim - 2) + (n, n)
-    v = c * ik.reshape(shape)
-    v *= scale.reshape(shape)
+    v = c * grid.advection_symbols.reshape(shape)
     u1, u2, d1, d2 = to_values(v, n)
     if base is None:
         prod = u1 * d1 + u2 * d2
@@ -180,8 +178,7 @@ def rhs(state: EvolutionState) -> SpectralField:
 def cfl_dt(state: EvolutionState, config: StepperConfig) -> float:
     """min(dt_max, cfl * dx / ||U||_inf) with a small floor on the velocity."""
     g = state.theta.grid
-    ik, scale = g.advection_symbols
-    u1, u2 = to_values(state.theta.coeffs * ik[:2] * scale[:2], g.n)
+    u1, u2 = to_values(state.theta.coeffs * g.advection_symbols[:2], g.n)
     if state.mode == PERTURBATION:
         u1 = u1 + state.steady.advection_base[0]
         u2 = u2 + state.steady.advection_base[1]

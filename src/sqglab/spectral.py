@@ -75,17 +75,14 @@ class GridSpec:
         return (self.k1 != ny) & (self.k2 != ny)
 
     @cached_property
-    def advection_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symbols of (u1, u2, d_1, d_2) with u = (R2, -R1), as two (4, n, n)
-        factors applied in turn: i k_j, then 1/|k| (velocity) or 1 (gradient)
-        times the Nyquist mask.  Their product would round differently, and
-        the dense eigenvector of a degenerate rightmost eigenvalue follows the
-        last bit of the assembled matrix."""
+    def advection_symbols(self) -> np.ndarray:
+        """Symbols of (u1, u2, d_1, d_2) with u = (R2, -R1), shape (4, n, n):
+        i k_j / |k| for the velocity, i k_j for the gradient, Nyquist rows zeroed."""
         with np.errstate(divide="ignore"):
             inv_k = np.where(self.kmag > 0, 1.0 / self.kmag, 0.0)
         one = np.ones_like(inv_k)
         ik = np.stack([1j * self.k2, -1j * self.k1, 1j * self.k1, 1j * self.k2])
-        return ik, np.stack([inv_k, inv_k, one, one]) * self.nyquist_mask
+        return ik * np.stack([inv_k, inv_k, one, one]) * self.nyquist_mask
 
 
 @dataclass
@@ -219,8 +216,7 @@ def derivative(s: SpectralField, j: int) -> SpectralField:
     """Partial derivative d_j, symbol i k_j, Nyquist row zeroed."""
     if j not in (1, 2):
         raise DomainError(f"derivative direction must be 1 or 2, got {j}")
-    ik, scale = s.grid.advection_symbols
-    return SpectralField(s.grid, s.coeffs * ik[j + 1] * scale[j + 1])
+    return SpectralField(s.grid, s.coeffs * s.grid.advection_symbols[j + 1])
 
 
 def dealias(s: SpectralField) -> SpectralField:

@@ -4,6 +4,7 @@ semigroup evolution, smoothing probe."""
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from sqglab import errors
 from sqglab.dynamics import make_steady, shear_steady_state
@@ -222,6 +223,70 @@ def test_truncation_drift(unstable):
         ss = shear_steady_state(g, m=2, amplitude=10.0)
         lam.append(rightmost_eigenpair(LinearOperator(ss), K=K).rightmost.real)
     assert abs(lam[1] - lam[0]) < 1e-6
+
+
+def _k1_rows(phi):
+    """The k1 (array rows) on which a coefficient array has support."""
+    g = phi.grid
+    return sorted({int(g.k1[i, 0]) for i in np.flatnonzero(np.any(phi.coeffs != 0, axis=1))})
+
+
+def test_dense_phi_is_one_k1_block():
+    op = LinearOperator(shear_steady_state(GridSpec(24), m=2, amplitude=10.0))
+    runs = [rightmost_eigenpair(op) for _ in range(2)]
+    assert _k1_rows(runs[0].eigenfunction) == [1]
+    assert runs[0].residual < 1e-12
+    assert np.array_equal(runs[0].eigenfunction.coeffs, runs[1].eigenfunction.coeffs)
+
+
+def test_dense_tie_goes_to_smaller_k1():
+    # theta0 = -2e-4 cos(x2): lambda = -1 has multiplicity 4, two copies in
+    # k1 = 0 (modes (0, +-1)) and one in each of k1 = +-1 (modes (+-1, 0))
+    g = GridSpec(24)
+    op = LinearOperator(shear_steady_state(g, m=1, amplitude=2e-4))
+    res = rightmost_eigenpair(op)
+    assert abs(res.rightmost - (-1.0)) < 1e-12
+    assert _k1_rows(res.eigenfunction) == [0]
+    assert np.sum(np.abs(res.eigenvalues + 1.0) < 1e-10) == 4
+    A = assemble_dense(op, g.dealias_radius)
+    k1 = np.array(truncation_modes(g.dealias_radius))[:, 0]
+    for k, copies in ((0, 2), (1, 1), (-1, 1)):
+        b = np.flatnonzero(k1 == k)
+        w = np.linalg.eigvals(A[np.ix_(b, b)])
+        assert np.sum(np.abs(w + 1.0) < 1e-10) == copies
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_spectrum_matches_full_matrix(m):
+    g = GridSpec(24)
+    K = g.dealias_radius
+    op = LinearOperator(shear_steady_state(g, m=m, amplitude=10.0))
+    A = assemble_dense(op, K)
+    k1 = np.array(truncation_modes(K))[:, 0]
+    assert np.all(A[k1[:, None] != k1[None, :]] == 0)
+    full = np.linalg.eigvals(A)
+    res = rightmost_eigenpair(op, K=K)
+    assert res.eigenvalues.shape == full.shape
+    # the two multisets agree: optimal one-to-one matching of the eigenvalues
+    dist = np.abs(res.eigenvalues[:, None] - full[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert np.max(dist[rows, cols]) < 1e-10
+
+
+def test_x1_dependent_state_takes_one_block():
+    # theta0 = -10 cos(2 x1) is the canonical shear with the axes swapped: it
+    # has coefficients off k1 = 0, so the whole section is one block, and its
+    # rightmost eigenvalue equals the x2-shear's by the axis-swap symmetry
+    g = GridSpec(24)
+    x1, _ = meshgrid(g)
+    op_x1 = LinearOperator(make_steady(from_values(g, -10.0 * np.cos(2 * x1))))
+    K = g.dealias_radius
+    A = assemble_dense(op_x1, K)
+    k1 = np.array(truncation_modes(K))[:, 0]
+    assert np.any(A[k1[:, None] != k1[None, :]] != 0)
+    lam_x1 = rightmost_eigenpair(op_x1).rightmost.real
+    lam_x2 = rightmost_eigenpair(LinearOperator(shear_steady_state(g, 2, 10.0))).rightmost.real
+    assert abs(lam_x1 - lam_x2) < 1e-10
 
 
 def test_dense_vs_power_agreement(g48, unstable, unstable_dense):
