@@ -170,10 +170,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("experiment R must exceed ||phi|| = 1")
     if ex.threshold is not None and ex.threshold <= 0:
         raise ValidationError("experiment threshold must be positive")
-    if not 0.0 < mo.delta_mod < 1.0:
-        raise ValidationError("modulus delta_mod must lie in (0, 1)")
-    if not 0.0 < mo.gamma_mod <= mo.delta_mod:
-        raise ValidationError("modulus gamma_mod must lie in (0, delta_mod]")
+    # omega is increasing and concave only for delta <= 4/9 and
+    # gamma <= 4 delta (1 - 1.5 sqrt(delta))
+    if not 0.0 < mo.delta_mod <= 4.0 / 9.0:
+        raise ValidationError("modulus delta_mod must lie in (0, 4/9]")
+    gamma_cap = min(mo.delta_mod, 4.0 * mo.delta_mod * (1.0 - 1.5 * mo.delta_mod**0.5))
+    if not 0.0 < mo.gamma_mod <= gamma_cap:
+        raise ValidationError(f"modulus gamma_mod must lie in (0, {gamma_cap:.6g}] for this delta")
     if mo.A <= 0 or mo.Cbig <= 0:
         raise ValidationError("modulus A and Cbig must be positive")
     if mo.seed < 0 or mo.seed > 2**64 - 1:

@@ -26,10 +26,8 @@ class ExperimentConfig:
     spectrum: SpectrumResult
     epsilons: list[float]
     envelope_radius: float = 2.0          # R > ||phi|| = 1 in eq-envelope units
-    growth_window_factor: float | None = None  # linear-regime cap, default 0.1 * R
     threshold: float | None = None        # escape norm, default 0.5 ||theta0||_L2
     t_max: float | None = None            # default 3 (1/lam) ln(1/eps_min)
-    t_skip: float | None = None           # default 1/lam
     observe_every: float = 0.05
     stepper: StepperConfig = field(default_factory=lambda: StepperConfig(cfl=0.4, dt_max=0.02))
 
@@ -41,13 +39,9 @@ class ExperimentConfig:
             raise DomainError("epsilons must be sorted in decreasing order")
         if self.envelope_radius <= norm_l2(self.spectrum.eigenfunction):
             raise DomainError("envelope radius R must exceed ||phi||")
-        if self.growth_window_factor is None:
-            self.growth_window_factor = 0.1 * self.envelope_radius
         if self.threshold is None:
             self.threshold = 0.5 * norm_l2(self.steady.theta0)
         lam = self.spectrum.rightmost.real
-        if self.t_skip is None:
-            self.t_skip = 1.0 / lam if lam > 0 else 0.0
         if self.t_max is None:
             if lam <= 0:
                 raise DomainError("t_max must be given when the spectrum is stable")
@@ -152,8 +146,8 @@ def run_perturbation(
         try:
             rec.lambda_hat = fit_growth_rate(
                 rec,
-                t_skip=config.t_skip,
-                cap=config.growth_window_factor,
+                t_skip=1.0 / lam,
+                cap=0.1 * config.envelope_radius,
                 omega=abs(config.spectrum.rightmost.imag),
             )
         except FitError:
@@ -166,26 +160,21 @@ def fit_growth_rate(
     t_skip: float,
     cap: float,
     omega: float = 0.0,
-    min_samples: int = 10,
-    lam_expected: float | None = None,
 ) -> float:
     """Least-squares slope of ln||theta(t)|| on the linear-regime window.
 
-    The window keeps t >= t_skip and ||theta|| <= cap.  For a complex
-    rightmost pair (omega > 0) the fit runs on the log of the oscillation
-    envelope, extracted from peak-to-peak maxima.
+    The window keeps t >= t_skip and ||theta|| <= cap and must hold at least
+    10 samples.  For a complex rightmost pair (omega > 0) the fit runs on the
+    log of the oscillation envelope, extracted from peak-to-peak maxima.
     """
     mask = (record.t >= t_skip) & (record.l2 <= cap) & (record.l2 > 0)
     t = record.t[mask]
     y = np.log(record.l2[mask])
-    if t.size < min_samples:
+    if t.size < 10:
         raise FitError(
-            f"growth window holds {t.size} samples (< {min_samples}); "
+            f"growth window holds {t.size} samples (< 10); "
             "lower t_skip or raise the cap"
         )
-    if lam_expected is not None and lam_expected > 0:
-        if t[-1] - t[0] < 1.0 / lam_expected:
-            raise FitError("growth window spans less than 1/lambda time units")
     if omega > 1e-8:
         peaks = _local_maxima(t, y)
         if peaks[0].size >= 3:

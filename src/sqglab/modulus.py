@@ -13,6 +13,10 @@ max_{delta,gamma} [delta - delta^{3/2} + gamma log(1 + 178)], about 1.3, no
 matter how large B is taken.  Force and oscillation scales beyond that are
 genuinely out of reach of this modulus family (the B-selection reports the
 gap rather than silently failing).
+
+B is selected on the grid 1.25**j, 1e-6 <= B <= B_CAP: every selection
+condition is monotone in B, so one integer bisection on j finds each
+condition's least grid point, and B is the largest of them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .spectral import SpectralField, inverse
 #: Torus diameter, fixed throughout.
 TORUS_DIAMETER = 2.0 * math.pi * math.sqrt(2.0)
 
-#: Largest B the geometric search will consider ((B*xi)^{3/2} must not overflow).
+#: Largest B the grid search will consider ((B*xi)^{3/2} must not overflow).
 B_CAP = 1e280
 
 
@@ -87,28 +91,12 @@ def _omega_prime(params: ModulusParams, s):
     return out if out.ndim else float(out)
 
 
-def _omega_second(params: ModulusParams, s):
-    s = np.asarray(s, dtype=float)
-    de, ga = params.delta_mod, params.gamma_mod
-    lo = np.minimum(np.maximum(s, 1e-300), de)
-    hi = np.maximum(s, de)
-    first = -0.75 / np.sqrt(lo)
-    u = 1.0 + 0.25 * np.log(hi / de)
-    second = -ga * (4.0 * u + 1.0) / (16.0 * hi**2 * u**2)
-    out = np.where(s <= de, first, second)
-    return out if out.ndim else float(out)
-
-
 def omega_B(params: ModulusParams, xi):
     return omega(params, params.B * np.asarray(xi, dtype=float))
 
 
 def omega_B_prime(params: ModulusParams, xi):
     return params.B * _omega_prime(params, params.B * np.asarray(xi, dtype=float))
-
-
-def omega_B_second(params: ModulusParams, xi):
-    return params.B**2 * _omega_second(params, params.B * np.asarray(xi, dtype=float))
 
 
 # -- bound functionals ---------------------------------------------------------
@@ -281,6 +269,12 @@ def F_B(params: ModulusParams, xi: float, f_linf: float, grad_f_linf: float) -> 
 
 # -- B selection ----------------------------------------------------------------
 
+#: B lies on the grid 1.25**j, j from the first point >= 1e-6 up to B_CAP.
+_GRID = 1.25
+_J_LO = math.ceil(math.log(1e-6) / math.log(_GRID))
+_J_HI = math.floor(math.log(B_CAP) / math.log(_GRID))
+
+
 @dataclass
 class ChooseBResult:
     B: float | None
@@ -288,25 +282,22 @@ class ChooseBResult:
     minima: dict = field(default_factory=dict)
     notes: str = ""
 
-    def __bool__(self):
-        return self.feasible
 
-
-def _min_B_force_cond3(params: ModulusParams, f_linf: float, cap: float) -> float:
-    """Smallest B with omega_B(d)/d >= 4 pi ||f||, by bisection in log B."""
-    target = 4.0 * math.pi * f_linf * params.d
-    if target <= 0:
-        return 0.0
-    lo, hi = math.log(1e-300), math.log(cap)
-    if omega(params, math.exp(hi) * params.d) < target:
-        return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if omega(params, math.exp(mid) * params.d) >= target:
+def _least_j(ok, lo: int) -> int | None:
+    """Smallest j in [lo, _J_HI] with ok(_GRID**j), for ok monotone in B;
+    None when even the top of the grid fails."""
+    if ok(_GRID**lo):
+        return lo
+    hi = _J_HI
+    if not ok(_GRID**hi):
+        return None
+    while hi - lo > 1:  # ok fails at lo and holds at hi
+        mid = (lo + hi) // 2
+        if ok(_GRID**mid):
             hi = mid
         else:
             lo = mid
-    return math.exp(hi)
+    return hi
 
 
 def choose_B(
@@ -314,38 +305,36 @@ def choose_B(
     f_norms: tuple[float, float],
     params: ModulusParams,
     theta0: SpectralField | None = None,
-    cap: float = B_CAP,
-    grid_ratio: float = 1.25,
-    strict_margin: float = 0.95,
     seed: int = 0,
-    force_conditions: bool = True,
 ) -> ChooseBResult:
-    """Smallest B on a geometric grid satisfying the selection conditions.
+    """Smallest B on the grid 1.25**j in [1e-6, B_CAP] satisfying the
+    selection conditions.
 
     Conditions (each monotone in B): the double-exponential lower bound
     B >= C ||grad Theta0|| exp(exp(C ||Theta0||)); A B^2 >= ||grad f||;
     omega_B(d)/d >= 4 pi ||f||; and, when the field is supplied, the strict
-    empirical modulus of Theta0 with margin.  Returns a failure report with
-    the per-condition minima when no representable B works.
+    empirical modulus of Theta0 below 0.95, searched from the largest of the
+    others.  Each condition's least exponent comes from one bisection on j,
+    `minima` holds each condition's grid minimum and B is their maximum.
+    Returns a failure report with the minima (inf for a condition no grid
+    point meets) when no representable B works.
     """
     th_linf, th_grad = theta0_norms
     f_linf, f_grad = f_norms
     C = params.C_big
-    minima: dict[str, float] = {}
-
-    inner = C * th_linf
-    if th_grad == 0:
-        minima["double_exponential"] = 0.0
-    elif inner > 700.0 or math.log(C * th_grad) + math.exp(inner) > math.log(cap):
-        minima["double_exponential"] = math.inf
-    else:
-        minima["double_exponential"] = C * th_grad * math.exp(math.exp(inner))
-    if force_conditions:
-        minima["force_gradient"] = math.sqrt(f_grad / params.A) if f_grad > 0 else 0.0
-        minima["force_level"] = _min_B_force_cond3(params, f_linf, cap)
-
-    lower = max(minima.values()) if minima else 0.0
-    if not math.isfinite(lower) or lower > cap:
+    try:
+        de_min = C * th_grad * math.exp(math.exp(C * th_linf)) if th_grad else 0.0
+    except OverflowError:
+        de_min = math.inf
+    fg_min = math.sqrt(f_grad / params.A)  # A B^2 >= ||grad f||, without forming B^2
+    conditions = {
+        "double_exponential": lambda B: B >= de_min,
+        "force_gradient": lambda B: B >= fg_min,
+        "force_level": lambda B: omega(params, B * params.d) / params.d >= 4.0 * math.pi * f_linf,
+    }
+    exps = {name: _least_j(ok, _J_LO) for name, ok in conditions.items()}
+    minima = {name: math.inf if j is None else _GRID**j for name, j in exps.items()}
+    if None in exps.values():
         return ChooseBResult(
             None,
             False,
@@ -355,57 +344,23 @@ def choose_B(
                 f"per-condition minima: {minima}"
             ),
         )
+    j = max(exps.values())
 
-    # the strict-modulus predicate is monotone in B (omega_B grows pointwise
-    # with B): probe the cap, then bisect in log B for its minimal value
     if theta0 is not None:
-
-        def strict_ok(b):
-            return empirical_modulus(theta0, params.with_B(b), seed=seed) < strict_margin
-
-        probe = max(lower, 1e-6)
-        if not strict_ok(probe):
-            if not strict_ok(cap):
-                minima["strict_modulus"] = math.inf
-                return ChooseBResult(
-                    None,
-                    False,
-                    minima,
-                    notes=(
-                        "the field's oscillation exceeds what omega_B can reach "
-                        "for any representable B (log-log saturation)"
-                    ),
-                )
-            lo, hi = math.log(probe), math.log(cap)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if strict_ok(math.exp(mid)):
-                    hi = mid
-                else:
-                    lo = mid
-            minima["strict_modulus"] = math.exp(hi)
-            lower = max(lower, math.exp(hi))
-
-    # round up to the geometric grid anchored at B = 1, then re-verify every
-    # predicate, stepping up if a boundary case slips through
-    B = grid_ratio ** math.ceil(math.log(max(lower, 1e-6)) / math.log(grid_ratio))
-    while B <= cap:
-        p = params.with_B(B)
-        ok = True
-        if force_conditions:
-            ok = ok and params.A * B**2 * (1 + 1e-12) >= f_grad
-            ok = ok and omega(params, B * params.d) / params.d * (1 + 1e-12) >= 4 * math.pi * f_linf
-        if ok and theta0 is not None:
-            ok = empirical_modulus(theta0, p, seed=seed) < strict_margin
-        if ok:
-            return ChooseBResult(B, True, minima)
-        B *= grid_ratio
-    return ChooseBResult(
-        None,
-        False,
-        minima,
-        notes="geometric search exhausted the representable range without a valid B",
-    )
+        j = _least_j(lambda B: empirical_modulus(theta0, params.with_B(B), seed=seed) < 0.95, j)
+        if j is None:
+            minima["strict_modulus"] = math.inf
+            return ChooseBResult(
+                None,
+                False,
+                minima,
+                notes=(
+                    "the field's oscillation exceeds what omega_B can reach "
+                    "for any representable B (log-log saturation)"
+                ),
+            )
+        minima["strict_modulus"] = _GRID**j
+    return ChooseBResult(_GRID**j, True, minima)
 
 
 # -- inequality verification ----------------------------------------------------

@@ -91,6 +91,12 @@ def test_config_rejects_bad_values(tmp_path):
                 tmp_path / "c.ini", "[experiment]\nepsilons = 1e-4,1e-2\n"
             )
         )
+    # the modulus must be increasing and concave: delta <= 4/9 and
+    # gamma <= 4 delta (1 - 1.5 sqrt(delta))
+    for name, delta, gamma in [("d", 0.9, 0.1), ("e", 0.5, 0.01), ("f", 0.4, 0.1)]:
+        text = f"[modulus]\ndelta_mod = {delta}\ngamma_mod = {gamma}\n"
+        with pytest.raises(errors.ValidationError):
+            load_config(write_config(tmp_path / f"{name}.ini", text))
 
 
 # -- SQGF ------------------------------------------------------------------------

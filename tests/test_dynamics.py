@@ -50,6 +50,16 @@ def test_make_steady_shear(g64):
         assert ss.residual_linf() < 1e-10
 
 
+def test_shear_steady_state_is_x1_invariant():
+    # at n = 70 the 2-D FFT of cos(m x2) leaves rounding off k1 = 0; the
+    # shear state drops it, so linop takes the k1-block spectrum
+    g = GridSpec(70)
+    for m in (1, 2, 3):
+        ss = shear_steady_state(g, m=m, amplitude=10.0)
+        assert not np.any(ss.theta0.coeffs[1:])
+        assert ss.residual_linf() < 1e-10
+
+
 def test_make_steady_zero(g64):
     ss = make_steady(from_values(g64, np.zeros((64, 64))))
     assert np.all(ss.f.coeffs == 0)
