@@ -1,90 +1,1 @@
 """sqglab: numerical laboratory for the forced critical SQG equation on T^2."""
-
-from .dynamics import (
-    EvolutionState,
-    SteadyState,
-    StepperConfig,
-    evolve,
-    make_steady,
-    nonlinear_term,
-    shear_steady_state,
-)
-from .growth import ExperimentConfig, GrowthRecord, epsilon_sweep, run_perturbation
-from .linop import (
-    LinearOperator,
-    SpectrumResult,
-    apply_L,
-    assemble_dense,
-    evolve_linear,
-    rightmost_eigenpair,
-    smoothing_probe,
-)
-from .modulus import (
-    ModulusParams,
-    choose_B,
-    empirical_modulus,
-    omega_B,
-    verify_inequality,
-)
-from .spectral import (
-    GridSpec,
-    PhysicalField,
-    SpectralField,
-    dealias,
-    derivative,
-    forward,
-    from_values,
-    inverse,
-    lambda_pow,
-    norm,
-    norm_hs,
-    norm_l2,
-    norm_linf,
-    norm_linf_grad,
-    riesz,
-    velocity_from_theta,
-)
-
-__all__ = [
-    "EvolutionState",
-    "ExperimentConfig",
-    "GridSpec",
-    "GrowthRecord",
-    "LinearOperator",
-    "ModulusParams",
-    "PhysicalField",
-    "SpectralField",
-    "SpectrumResult",
-    "SteadyState",
-    "StepperConfig",
-    "apply_L",
-    "assemble_dense",
-    "choose_B",
-    "dealias",
-    "derivative",
-    "empirical_modulus",
-    "epsilon_sweep",
-    "evolve",
-    "evolve_linear",
-    "forward",
-    "from_values",
-    "inverse",
-    "lambda_pow",
-    "make_steady",
-    "nonlinear_term",
-    "norm",
-    "norm_hs",
-    "norm_l2",
-    "norm_linf",
-    "norm_linf_grad",
-    "omega_B",
-    "riesz",
-    "rightmost_eigenpair",
-    "run_perturbation",
-    "shear_steady_state",
-    "smoothing_probe",
-    "velocity_from_theta",
-    "verify_inequality",
-]
-
-__version__ = "0.1.0"

@@ -6,7 +6,9 @@ perturbation variants; `linop` applies L through it), the one
 integrating-factor RK4 step, `if_rk4_step` (exp(-|k| dt) applied exactly,
 advection and force explicit), and the one time loop, `integrate` (CFL step,
 landing on observation times, finite check, gradient guard), which `evolve`
-and `growth.run_perturbation` drive.
+and `growth.run_perturbation` drive.  The kernel, the step and the loop work
+on rfft2 half-spectra (see `spectral`); the public functions take and return
+full coefficients and convert at their boundary.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from .spectral import (
     SpectralField,
     derivative,
     from_values,
+    half,
+    half_coeffs,
+    half_values,
     inner_l2,
     lambda_pow,
     meshgrid,
+    mirror,
     norm_hs,
     norm_l2,
     norm_linf,
     norm_linf_grad,
-    to_coeffs,
-    to_values,
     velocity_from_theta,
 )
 
@@ -60,14 +64,14 @@ class SteadyState:
         """Collocation values (q0_1, q0_2, d_1 theta0, d_2 theta0), shape (4, n, n):
         the `base` argument of `advection`."""
         fields = (self.q0[0], self.q0[1], derivative(self.theta0, 1), derivative(self.theta0, 2))
-        return to_values(np.stack([s.coeffs for s in fields]), self.grid.n).real
+        return half_values(half(np.stack([s.coeffs for s in fields])), self.grid.n)
 
     def residual_linf(self) -> float:
         """sup norm of q0.grad(theta0) + Lambda(theta0) - f."""
         g = self.grid
-        adv = -advection(self.theta0.coeffs, g)
-        res = adv + lambda_pow(self.theta0, 1.0).coeffs - self.f.coeffs
-        return float(np.max(np.abs(to_values(res, g.n))))
+        h = half(self.theta0.coeffs)
+        res = -advection(h, g) + g.half_kmag * h - half(self.f.coeffs)
+        return float(np.max(np.abs(half_values(res, g.n))))
 
 
 @dataclass
@@ -126,7 +130,7 @@ def make_steady(theta0: SpectralField) -> SteadyState:
         raise ResolutionError(
             "steady state carries energy at the dealias boundary; increase n"
         )
-    adv = -advection(theta0.coeffs, g)
+    adv = -mirror(advection(half(theta0.coeffs), g), g.n)
     f = SpectralField(g, adv + lambda_pow(theta0, 1.0).coeffs)
     q0 = velocity_from_theta(theta0)
     return SteadyState(theta0=theta0.copy(), q0=q0, f=f)
@@ -136,11 +140,13 @@ def nonlinear_term(theta: SpectralField) -> SpectralField:
     """N(theta) = -q.grad(theta) with q = (R2 theta, -R1 theta), dealiased."""
     if not theta.mean_free:
         raise DomainError("nonlinear term requires a mean-free field")
-    return SpectralField(theta.grid, advection(theta.coeffs, theta.grid))
+    g = theta.grid
+    return SpectralField(g, mirror(advection(half(theta.coeffs), g), g.n))
 
 
 def advection(c: np.ndarray, grid: GridSpec, base=None, nonlinear=1.0) -> np.ndarray:
-    """Dealiased, mean-free coefficients of the advection term of c.
+    """Dealiased, mean-free half-spectrum of the advection term of the
+    half-spectrum c.
 
     With base None this is the full term -u.grad(theta), u = (R2 theta, -R1 theta).
     With base = steady.advection_base it is -(q0 + a u).grad(theta) - u.grad(theta0)
@@ -148,60 +154,84 @@ def advection(c: np.ndarray, grid: GridSpec, base=None, nonlinear=1.0) -> np.nda
     (linearized plus full).  c may carry leading axes; nonlinear may be an
     array broadcast over them, which gives each slot its own variant.
     """
+    return _advect(c, grid, base, nonlinear)[0]
+
+
+def _advect(c, grid, base=None, nonlinear=1.0):
+    """`advection`, and the collocation values (U1, U2) of the advecting
+    velocity: u, or q0 + a u with a base."""
     n = grid.n
-    shape = (4,) + (1,) * (c.ndim - 2) + (n, n)
-    v = c * grid.advection_symbols.reshape(shape)
-    u1, u2, d1, d2 = to_values(v, n)
+    symbols = grid.half_advection_symbols
+    v = c * symbols.reshape((4,) + (1,) * (c.ndim - 2) + symbols.shape[1:])
+    u1, u2, d1, d2 = half_values(v, n)
     if base is None:
+        U1, U2 = u1, u2
         prod = u1 * d1 + u2 * d2
     else:
-        q1, q2, t1, t2 = base
+        U1, U2, t1, t2 = base
         if np.any(nonlinear):
-            q1, q2 = q1 + nonlinear * u1, q2 + nonlinear * u2
-        prod = q1 * d1 + q2 * d2 + u1 * t1 + u2 * t2
-    out = -to_coeffs(prod, n)
-    out *= grid.dealias_mask
+            U1, U2 = U1 + nonlinear * u1, U2 + nonlinear * u2
+        prod = U1 * d1 + U2 * d2 + u1 * t1 + u2 * t2
+    out = -half_coeffs(prod)
+    out *= grid.half_dealias_mask
     out[..., 0, 0] = 0.0
-    return out
+    return out, (U1, U2)
 
 
 def _explicit(steady: SteadyState, mode: str, nonlinear=1.0):
-    """Everything but the dissipation: advection, plus the force in full mode."""
+    """Everything but the dissipation, on half-spectra: h -> (term, (U1, U2)),
+    the advection term plus the force in full mode, and the advecting velocity."""
     g = steady.grid
     if mode == PERTURBATION:
-        return lambda c: advection(c, g, steady.advection_base, nonlinear)
-    return lambda c: advection(c, g) + steady.f.coeffs
+        base = steady.advection_base
+        return lambda h: _advect(h, g, base, nonlinear)
+    f = half(steady.f.coeffs)
+
+    def full(h):
+        term, U = _advect(h, g)
+        term += f
+        return term, U
+
+    return full
+
+
+def _cfl(U1, U2, grid: GridSpec, config: StepperConfig) -> float:
+    """min(dt_max, cfl * dx / ||U||_inf) with a small floor on the velocity."""
+    umax = max(float(np.sqrt(np.max(U1 * U1 + U2 * U2))), 1e-8)
+    return min(config.dt_max, config.cfl * grid.dx / umax)
 
 
 def rhs(state: EvolutionState) -> SpectralField:
     """Time derivative of the state (dissipation included)."""
     g = state.theta.grid
-    c = state.theta.coeffs
-    return SpectralField(g, _explicit(state.steady, state.mode)(c) - g.kmag * c)
+    h = half(state.theta.coeffs)
+    term, _ = _explicit(state.steady, state.mode)(h)
+    return SpectralField(g, mirror(term - g.half_kmag * h, g.n))
 
 
 def cfl_dt(state: EvolutionState, config: StepperConfig) -> float:
-    """min(dt_max, cfl * dx / ||U||_inf) with a small floor on the velocity."""
-    g = state.theta.grid
-    u1, u2 = to_values(state.theta.coeffs * g.advection_symbols[:2], g.n)
-    if state.mode == PERTURBATION:
-        u1 = u1 + state.steady.advection_base[0]
-        u2 = u2 + state.steady.advection_base[1]
-    umax = max(float(np.max(np.hypot(np.abs(u1), np.abs(u2)))), 1e-8)
-    return min(config.dt_max, config.cfl * g.dx / umax)
+    """min(dt_max, cfl * dx / ||U||_inf) with a small floor on the velocity;
+    U is the advecting velocity, q0 + u in perturbation mode."""
+    _, U = _explicit(state.steady, state.mode)(half(state.theta.coeffs))
+    return _cfl(*U, state.theta.grid, config)
 
 
 def decay_factors(grid: GridSpec, dt: float, shift: float = 0.0):
-    """(exp(-(|k| + shift) dt/2), exp(-(|k| + shift) dt)) for the integrating factor."""
-    half = np.exp(-(grid.kmag + shift) * (0.5 * dt))
-    return half, half * half
+    """(exp(-(|k| + shift) dt/2), exp(-(|k| + shift) dt)) on the half-spectrum,
+    the integrating factor."""
+    half_step = np.exp(-(grid.half_kmag + shift) * (0.5 * dt))
+    return half_step, half_step * half_step
 
 
-def if_rk4_step(explicit, c: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def if_rk4_step(
+    explicit, c: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray, k1=None
+) -> np.ndarray:
     """One integrating-factor RK4 step of d_t c = explicit(c) - D c, where the
     decay factors e1, e2 = exp(-D dt/2), exp(-D dt) apply D exactly; c may
-    carry leading axes."""
-    k1 = explicit(c)
+    carry leading axes.  k1 = explicit(c) may be passed when the caller has it:
+    the first stage does not depend on dt."""
+    if k1 is None:
+        k1 = explicit(c)
     k2 = explicit(e1 * (c + (0.5 * dt) * k1))
     k3 = explicit(e1 * c + (0.5 * dt) * k2)
     k4 = explicit(e2 * c + dt * (e1 * k3))
@@ -213,13 +243,15 @@ def if_rk4_step(explicit, c: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarr
 def step(state: EvolutionState, dt: float, config: StepperConfig | None = None) -> EvolutionState:
     """Advance by one step of size dt (dt must respect the CFL bound)."""
     config = config or StepperConfig()
-    allowed = cfl_dt(state, config)
+    g = state.theta.grid
+    advect = _explicit(state.steady, state.mode)
+    h = half(state.theta.coeffs)
+    k1, U = advect(h)
+    allowed = _cfl(*U, g, config)
     if dt > allowed * (1 + 1e-9):
         raise DomainError(f"dt={dt:.3e} exceeds CFL/dt_max bound {allowed:.3e}")
-    g = state.theta.grid
-    explicit = _explicit(state.steady, state.mode)
-    c = if_rk4_step(explicit, state.theta.coeffs, dt, *decay_factors(g, dt))
-    return replace(state, theta=SpectralField(g, c), t=state.t + dt)
+    h = if_rk4_step(lambda x: advect(x)[0], h, dt, *decay_factors(g, dt), k1)
+    return replace(state, theta=SpectralField(g, mirror(h, g.n)), t=state.t + dt)
 
 
 def observed_norms(state: EvolutionState) -> dict[str, float]:
@@ -251,11 +283,12 @@ def integrate(
     """The time loop: yield (c, norms) at the start, at every observation time
     and at t_final; the caller stops the run early by leaving the loop.
 
-    c holds the coefficients of the field in `mode`.  In perturbation mode c may
-    be a (2, n, n) stack whose slot 1 is the co-evolved linear solution: one
+    c holds the full coefficients of the field in `mode`; the loop steps its
+    half-spectrum and yields full coefficients.  In perturbation mode c may be
+    a (2, n, n) stack whose slot 1 is the co-evolved linear solution: one
     kernel call advances both slots with the same steps, slot 1 with the
-    linearized variant.  The CFL step and the norms (`observed_norms`) read
-    slot 0 only.
+    linearized variant.  The CFL step, read off the velocity of the first RK
+    stage, and the norms (`observed_norms`) use slot 0 only.
 
     Raises BlowUpError on non-finite coefficients, or when the full-field
     linf_grad exceeds GRAD_GUARD_FACTOR times max(its initial value, 1), with
@@ -263,37 +296,43 @@ def integrate(
     """
     g = steady.grid
     stacked = c.ndim == 3
-    explicit = _explicit(steady, mode, np.array([1.0, 0.0])[:, None, None] if stacked else 1.0)
+    advect = _explicit(steady, mode, np.array([1.0, 0.0])[:, None, None] if stacked else 1.0)
 
-    def state_at(cc, tt):
-        return EvolutionState(SpectralField(g, cc[0] if stacked else cc), tt, steady, mode)
+    def explicit(h):
+        return advect(h)[0]
+
+    def norms_at(cc, tt):
+        return observed_norms(
+            EvolutionState(SpectralField(g, cc[0] if stacked else cc), tt, steady, mode)
+        )
 
     if not np.all(np.isfinite(c)):
         raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
-    norms = observed_norms(state_at(c, t))
+    norms = norms_at(c, t)
     guard = GRAD_GUARD_FACTOR * max(norms["linf_grad"], 1.0)
-
-    def observed(cc, tt):
-        norms = observed_norms(state_at(cc, tt))
-        if norms["linf_grad"] > guard:
-            raise BlowUpError(f"gradient guard tripped at t={tt:.6f}", t=tt, diagnostics=norms)
-        return cc, norms
-
     yield c, norms
+    h = half(c)
     next_obs = t + observe_every
     dt_prev = None
     while t < t_final - 1e-14:
+        k1, (U1, U2) = advect(h)
+        if stacked:
+            U1, U2 = U1[0], U2[0]
         # land exactly on the next observation time and on t_final
-        dt = min(cfl_dt(state_at(c, t), config), next_obs - t, t_final - t)
+        dt = min(_cfl(U1, U2, g, config), next_obs - t, t_final - t)
         if dt != dt_prev:
             e1, e2 = decay_factors(g, dt)
             dt_prev = dt
-        c = if_rk4_step(explicit, c, dt, e1, e2)
+        h = if_rk4_step(explicit, h, dt, e1, e2, k1)
         t += dt
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(h)):
             raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
         if t >= next_obs - 1e-12 or t >= t_final - 1e-14:
-            yield observed(c, t)
+            c = mirror(h, g.n)
+            norms = norms_at(c, t)
+            if norms["linf_grad"] > guard:
+                raise BlowUpError(f"gradient guard tripped at t={t:.6f}", t=t, diagnostics=norms)
+            yield c, norms
             next_obs = t + observe_every
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import PERTURBATION, StepperConfig, SteadyState, integrate
 from .errors import DomainError, FitError
 from .linop import SpectrumResult
-from .spectral import SpectralField, norm_l2
+from .spectral import SpectralField, mirror, norm_l2, real_imag_halves
 
 
 @dataclass
@@ -80,8 +80,7 @@ def real_eigenfunction(spectrum: SpectrumResult) -> SpectralField:
     the conjugate eigenpair and grows at the same rate."""
     phi = spectrum.eigenfunction
     g = phi.grid
-    re = 0.5 * (phi.coeffs + np.conj(np.roll(phi.coeffs[::-1, ::-1], (1, 1), axis=(0, 1))))
-    out = SpectralField(g, re)
+    out = SpectralField(g, mirror(real_imag_halves(phi.coeffs)[0], g.n))
     nr = norm_l2(out)
     if nr == 0:
         raise DomainError("eigenfunction has no real part")
@@ -113,7 +112,8 @@ def run_perturbation(
     )
     for (c, c_lin), norms in run:
         t, l2 = norms["t"], norms["l2"]
-        norms["duhamel_residual"] = 2 * np.pi * float(np.linalg.norm(c - c_lin))
+        d = c - c_lin
+        norms["duhamel_residual"] = 2 * np.pi * float(np.sqrt(np.sum(d.real**2 + d.imag**2)))
         rows.append(norms)
         if (
             envelope_time is None

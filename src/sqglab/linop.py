@@ -13,6 +13,11 @@ assembled a k2 column at a time and eigensolved block by block in k1, the
 Fourier-chain structure of Meshalkin & Sinai.  Grids too large to assemble
 use ARPACK on the matrix-free propagator e^{tau (L - shift)} instead, over
 the same mode index.
+
+The kernel and the step work on half-spectra of real fields.  L is real, so
+a complex field (basis probe, ARPACK vector, eigenfunction) goes through them
+as the pair of its real and imaginary parts, two slots of one stack, and
+`_through_real` recombines the results.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
-from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
-from scipy.sparse.linalg import eigs
 
 from .dynamics import SteadyState, advection, decay_factors, if_rk4_step
 from .errors import (
@@ -37,7 +39,9 @@ from .spectral import (
     GridSpec,
     SpectralField,
     lambda_pow,
+    mirror,
     norm_l2,
+    real_imag_halves,
     to_coeffs,
 )
 
@@ -65,9 +69,22 @@ def _linearized(op: LinearOperator):
     return partial(advection, grid=op.grid, base=op.steady.advection_base, nonlinear=0.0)
 
 
+def _through_real(fn, c: np.ndarray) -> np.ndarray:
+    """fn, a real-linear map of half-spectra, applied to the full complex
+    coefficients c (any leading axes) as fn(Re) + i fn(Im), with Re and Im as
+    two slots of one stack; the Im slot is skipped when it is zero."""
+    n = c.shape[-1]
+    re, im = real_imag_halves(c)
+    if not np.any(im):
+        return mirror(fn(re), n)
+    out = fn(np.stack([re, im]))
+    return mirror(out[0], n) + 1j * mirror(out[1], n)
+
+
 def _apply(op: LinearOperator, c: np.ndarray) -> np.ndarray:
-    """(L - shift) c for coefficients with any leading axes."""
-    return _linearized(op)(c) - (op.grid.kmag + op.shift) * c
+    """(L - shift) c for full coefficients with any leading axes."""
+    linearized, decay = _linearized(op), op.grid.half_kmag + op.shift
+    return _through_real(lambda h: linearized(h) - decay * h, c)
 
 
 def apply_L(op: LinearOperator, theta: SpectralField) -> SpectralField:
@@ -273,6 +290,9 @@ def _rightmost_power(
     The dominant eigenvalue of L is either real (possibly of multiplicity two
     for symmetric steady states) or a conjugate pair: two Ritz values hold it.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigs
+    from scipy.sparse.linalg import LinearOperator as ScipyLinearOperator
+
     g = op.grid
     index = mode_index(g, g.dealias_radius)
     calls = 0
@@ -306,16 +326,21 @@ def _rightmost_power(
 def _evolve_linear_coeffs(
     op: LinearOperator, c: np.ndarray, t: float, dt_target: float
 ) -> np.ndarray:
-    """Fixed-step IF-RK4 for d_t theta = (L - shift) theta; batched-capable."""
+    """Fixed-step IF-RK4 for d_t theta = (L - shift) theta on full
+    coefficients; batched-capable."""
     if t == 0.0:
         return c.copy()
     steps = max(1, int(np.ceil(t / dt_target)))
     dt = t / steps
     e1, e2 = decay_factors(op.grid, dt, op.shift)
     explicit = _linearized(op)
-    for _ in range(steps):
-        c = if_rk4_step(explicit, c, dt, e1, e2)
-    return c
+
+    def propagate(h):
+        for _ in range(steps):
+            h = if_rk4_step(explicit, h, dt, e1, e2)
+        return h
+
+    return _through_real(propagate, c)
 
 
 def evolve_linear(

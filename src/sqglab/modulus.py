@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .spectral import SpectralField, inverse
@@ -120,6 +119,8 @@ def _enrich_geometric(points, ratio=10.0):
 
 def _quad_pieces(f, points, infinite_tail=False, opts=None):
     """Integrate f over consecutive [points[i], points[i+1]], summing errors."""
+    from scipy.integrate import quad
+
     opts = opts or _QUAD_OPTS
     total, err = 0.0, 0.0
     points = _enrich_geometric(points)

@@ -1,13 +1,24 @@
 """Fourier representation of scalar fields on the 2-torus [0, 2pi]^2.
 
 Convention: f(x) = sum_k fhat_k exp(i k.x) with no normalization on the sum,
-so symbol multipliers act literally on the coefficients.  Coefficients are
-stored as full complex n x n arrays in numpy FFT layout (integer wavenumbers
-from fftfreq).  The forward transform divides by n^2.
+so symbol multipliers act literally on the coefficients.  The forward
+transform divides by n^2.
 
-Real fields satisfy fhat(-k) = conj(fhat(k)); complex-valued fields (e.g.
-eigenfunctions of the linearized operator) use the same storage without the
-symmetry.  Mean-free fields have fhat(0,0) = 0 exactly.
+Two storage layouts share numpy's FFT ordering (integer wavenumbers from
+fftfreq, k1 along axis 0):
+
+* full: complex (..., n, n) arrays.  `SpectralField`, the norms, SQGF output
+  and every public interface use it.  Real fields satisfy
+  fhat(-k) = conj(fhat(k)), exactly when made by `mirror` (as `forward` and
+  the time loop make them); complex-valued
+  fields (e.g. eigenfunctions of the linearized operator) use the same
+  storage without the symmetry.
+* half: the rfft2 half-spectrum (..., n, n/2 + 1) of a real field, the
+  columns k2 = 0..n/2 of the full layout (column n/2 is the full layout's
+  k2 = -n/2).  The time loop and the advection kernel work in it.  `half`
+  and `mirror` convert, the latter by conjugate symmetry, no FFT.
+
+Mean-free fields have fhat(0,0) = 0 exactly.
 """
 
 from __future__ import annotations
@@ -84,6 +95,20 @@ class GridSpec:
         ik = np.stack([1j * self.k2, -1j * self.k1, 1j * self.k1, 1j * self.k2])
         return ik * np.stack([inv_k, inv_k, one, one]) * self.nyquist_mask
 
+    # the same arrays on the half-spectrum columns k2 = 0..n/2, contiguous
+
+    @cached_property
+    def half_kmag(self) -> np.ndarray:
+        return half(self.kmag)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return half(self.dealias_mask)
+
+    @cached_property
+    def half_advection_symbols(self) -> np.ndarray:
+        return half(self.advection_symbols)
+
 
 @dataclass
 class SpectralField:
@@ -145,7 +170,7 @@ def forward(p: PhysicalField) -> SpectralField:
     """
     if not np.all(np.isfinite(p.values)):
         raise DataError("physical field contains non-finite values")
-    c = np.fft.fft2(p.values) / p.grid.n**2
+    c = to_coeffs(p.values, p.grid.n)
     scale = np.max(np.abs(c))
     if scale > 0 and np.abs(c[0, 0]) <= 1e-13 * scale:
         c[0, 0] = 0.0
@@ -170,7 +195,48 @@ def to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.fft2(values) / n**2
+    """Full, exactly conjugate-symmetric coefficients of real values."""
+    return mirror(half_coeffs(values), n)
+
+
+def half(c: np.ndarray) -> np.ndarray:
+    """Half-spectrum columns k2 = 0..n/2 of full coefficients, as a contiguous copy."""
+    return np.ascontiguousarray(c[..., : c.shape[-1] // 2 + 1])
+
+
+def mirror(h: np.ndarray, n: int) -> np.ndarray:
+    """Full, exactly conjugate-symmetric coefficients of the real field with
+    half-spectrum h: the columns k2 = -n/2 + 1..-1 are conj(h) at (-k1, -k2),
+    and the columns k2 = 0 and n/2, which hold both k and -k, are averaged
+    with their reflection."""
+    rows = -np.arange(n) % n
+    c = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
+    c[..., : n // 2 + 1] = h
+    for j in (0, n // 2):
+        c[..., j] = 0.5 * (h[..., j] + np.conj(h[..., rows, j]))
+    c[..., n // 2 + 1 :] = np.conj(h[..., rows, n // 2 - 1 : 0 : -1])
+    return c
+
+
+def real_imag_halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectra of the real and imaginary parts of the complex field with
+    full coefficients c (any leading axes): (c + r) / 2 and (c - r) / 2i with
+    r = conj(c) at (-k1, -k2).  The imaginary part is exactly zero when c is
+    exactly conjugate-symmetric."""
+    n = c.shape[-1]
+    r = np.conj(c[..., (-np.arange(n) % n)[:, None], -np.arange(n // 2 + 1) % n])
+    c = c[..., : n // 2 + 1]
+    return 0.5 * (c + r), -0.5j * (c - r)
+
+
+def half_values(h: np.ndarray, n: int) -> np.ndarray:
+    """Real collocation values of half-spectra with any leading axes."""
+    return np.fft.irfft2(h, s=(n, n), norm="forward")
+
+
+def half_coeffs(values: np.ndarray) -> np.ndarray:
+    """Half-spectra of real values with any leading axes (divides by n^2)."""
+    return np.fft.rfft2(values, norm="forward")
 
 
 def from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
@@ -243,7 +309,8 @@ def embed(s: SpectralField, grid: GridSpec) -> SpectralField:
 
 def norm_l2(s: SpectralField) -> float:
     """L2 norm by Parseval: ||f|| = 2pi (sum |fhat|^2)^{1/2}."""
-    return TWO_PI * float(np.linalg.norm(s.coeffs))
+    c = s.coeffs
+    return TWO_PI * float(np.sqrt(np.sum(c.real**2 + c.imag**2)))
 
 
 def norm_hs(s: SpectralField, sigma: float) -> float:
@@ -283,5 +350,6 @@ def norm(s: SpectralField, which, sigma: float | None = None) -> float:
 
 def inner_l2(a: SpectralField, b: SpectralField) -> float:
     """(a, b)_{L2} for real fields, computed spectrally."""
-    return TWO_PI**2 * float(np.vdot(b.coeffs, a.coeffs).real)
+    a, b = a.coeffs, b.coeffs
+    return TWO_PI**2 * float(np.sum(a.real * b.real + a.imag * b.imag))
 

@@ -1,6 +1,10 @@
 """Config parsing, SQGF round-trips, and the command-line front end."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,19 @@ from sqglab import cli, errors, sqgf
 from sqglab.cli import main
 from sqglab.config import load_config
 from sqglab.spectral import GridSpec, PhysicalField, meshgrid
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # quadrature and ARPACK are imported by the one function that calls each
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, sqglab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def write_config(path, text):

@@ -24,9 +24,11 @@ from sqglab.spectral import (
     GridSpec,
     SpectralField,
     from_values,
+    half,
     inner_l2,
     inverse,
     meshgrid,
+    mirror,
     norm_l2,
     norm_linf,
 )
@@ -167,7 +169,7 @@ def band_limited(grid, rng, kmax=6, amp=0.1):
 
 def test_advection_perturbation_is_linearized_plus_full(g64):
     ss = shear_steady_state(g64, m=2, amplitude=10.0)
-    c = band_limited(g64, np.random.default_rng(5))
+    c = half(band_limited(g64, np.random.default_rng(5)))
     full = advection(c, g64)
     lin = advection(c, g64, ss.advection_base, 0.0)
     pert = advection(c, g64, ss.advection_base, 1.0)
@@ -177,7 +179,7 @@ def test_advection_perturbation_is_linearized_plus_full(g64):
 def test_advection_batched_matches_slices(g64):
     ss = shear_steady_state(g64, m=2, amplitude=10.0)
     rng = np.random.default_rng(6)
-    stack = np.stack([band_limited(g64, rng) for _ in range(3)])
+    stack = half(np.stack([band_limited(g64, rng) for _ in range(3)]))
     weights = np.array([1.0, 0.0, 1.0])
     batched = advection(stack, g64, ss.advection_base, weights[:, None, None])
     full = advection(stack, g64)
@@ -186,6 +188,76 @@ def test_advection_batched_matches_slices(g64):
         single = advection(stack[i], g64, ss.advection_base, w)
         assert np.max(np.abs(batched[i] - single)) < 1e-14 * scale
         assert np.max(np.abs(full[i] - advection(stack[i], g64))) < 1e-14 * scale
+
+
+def advection_reference(c, grid, base=None, nonlinear=1.0):
+    """The advection term of full coefficients, with complex 2-D transforms."""
+    n = grid.n
+    u1, u2, d1, d2 = (
+        (np.fft.ifft2(c * s) * n**2).real for s in grid.advection_symbols
+    )
+    if base is None:
+        prod = u1 * d1 + u2 * d2
+    else:
+        q1, q2, t1, t2 = base
+        prod = (q1 + nonlinear * u1) * d1 + (q2 + nonlinear * u2) * d2 + u1 * t1 + u2 * t2
+    out = -np.fft.fft2(prod) / n**2 * grid.dealias_mask
+    out[0, 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("variant", ["full", "linearized", "perturbation"])
+def test_half_spectrum_advection_matches_full_reference(g64, variant):
+    ss = shear_steady_state(g64, m=2, amplitude=10.0)
+    c = band_limited(g64, np.random.default_rng(9))
+    base = [inverse(x).values for x in ss.q0] + [
+        inverse(SpectralField(g64, ss.theta0.coeffs * s)).values
+        for s in g64.advection_symbols[2:]
+    ]
+    if variant == "full":
+        got, ref = advection(half(c), g64), advection_reference(c, g64)
+    else:
+        a = 0.0 if variant == "linearized" else 1.0
+        got = advection(half(c), g64, ss.advection_base, a)
+        ref = advection_reference(c, g64, base, a)
+    assert np.max(np.abs(mirror(got, 64) - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", [FULL, PERTURBATION])
+def test_evolve_makes_eight_ffts_per_step(g64, monkeypatch, mode):
+    # stage 1 of RK4 supplies the CFL velocity: 4 stages x (inverse + forward)
+    from sqglab import dynamics
+
+    ss = shear_steady_state(g64, m=2, amplitude=1.0)
+    ss.advection_base  # set-up of perturbation mode, made once per steady state
+    theta = SpectralField(g64, band_limited(g64, np.random.default_rng(3)))
+    state = EvolutionState(theta, 0.0, ss, mode)
+    counts = {"fft": 0, "steps": 0}
+    observing = [False]
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            if key != "fft" or not observing[0]:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def observed_norms(state):
+        observing[0] = True
+        try:
+            return original_norms(state)
+        finally:
+            observing[0] = False
+
+    original_norms = dynamics.observed_norms
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+    monkeypatch.setattr(dynamics, "if_rk4_step", counted(dynamics.if_rk4_step, "steps"))
+    monkeypatch.setattr(dynamics, "observed_norms", observed_norms)
+    evolve(state, 0.01, StepperConfig(cfl=0.4, dt_max=1e-3), observe_every=0.005)
+    assert counts["steps"] == 10
+    assert counts["fft"] == 8 * counts["steps"]
 
 
 def test_cfl_dt_formula(g64):

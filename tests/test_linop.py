@@ -34,6 +34,21 @@ from sqglab.spectral import (
 )
 
 
+def test_apply_L_is_real_linear():
+    # L is real: on a complex field it acts as L(Re) + i L(Im)
+    g = GridSpec(32)
+    op = LinearOperator(shear_steady_state(g, m=2, amplitude=10.0), shift=0.3)
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    c *= g.dealias_mask
+    c[0, 0] = 0.0
+    r = np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
+    re, im = SpectralField(g, 0.5 * (c + r)), SpectralField(g, -0.5j * (c - r))
+    got = apply_L(op, SpectralField(g, c)).coeffs
+    expect = apply_L(op, re).coeffs + 1j * apply_L(op, im).coeffs
+    assert np.max(np.abs(got - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
 def zero_steady(grid):
     return make_steady(from_values(grid, np.zeros((grid.n, grid.n))))
 

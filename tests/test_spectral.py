@@ -14,9 +14,11 @@ from sqglab.spectral import (
     derivative,
     forward,
     from_values,
+    half,
     inverse,
     lambda_pow,
     meshgrid,
+    mirror,
     norm_hs,
     norm_l2,
     norm_linf,
@@ -88,6 +90,27 @@ def test_inverse_cos_mode():
     x1, _ = meshgrid(g)
     p = inverse(SpectralField(g, c))
     assert np.max(np.abs(p.values - np.cos(x1))) < 1e-13
+
+
+def reflect_conj(c):
+    """conj(c) at (-k1, -k2) on the full layout, for any leading axes."""
+    return np.conj(np.roll(c[..., ::-1, ::-1], (1, 1), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [8, 24, 64, 70])
+def test_mirror_of_half_is_exact_for_real_fields(n):
+    g = GridSpec(n)
+    rng = np.random.default_rng(n)
+    c = forward(PhysicalField(g, rng.standard_normal((n, n)))).coeffs
+    assert np.array_equal(c, reflect_conj(c))
+    assert np.array_equal(mirror(half(c), n), c)
+    # any exactly conjugate-symmetric array, Nyquist row and column included
+    z = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    z = z + reflect_conj(z)
+    assert np.array_equal(mirror(half(z), n), z)
+    # and mirror makes any half-spectrum exactly conjugate-symmetric
+    full = mirror(half(rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))), n)
+    assert np.array_equal(full, reflect_conj(full))
 
 
 def test_inverse_rejects_asymmetric(grid):
