@@ -34,7 +34,7 @@ from .errors import (
     SqgLabError,
     ValidationError,
 )
-from .growth import ExperimentConfig, GrowthRecord, epsilon_sweep, run_perturbation
+from .growth import ExperimentConfig, GrowthRecord, check_epsilons, epsilon_sweep, run_perturbation
 from .linop import LinearOperator, SpectrumResult, dense_dimension, rightmost_eigenpair
 from .modulus import (
     ModulusParams,
@@ -398,7 +398,10 @@ def main(argv=None) -> int:
             raise ValidationError("--jobs must be at least 1")
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.io.out_dir)
-        # a dense spectrum over its size cap fails before any computation
+        # a dense spectrum over its size cap, or a sweep too short to fit the
+        # escape law, fails before any computation
+        if args.command == "instability":
+            check_epsilons(cfg.experiment.epsilons)
         if cfg.spectrum.method == "dense" and (
             args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
         ):

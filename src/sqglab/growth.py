@@ -222,12 +222,18 @@ class SweepReport:
         return max(r.max_grad_linf for r in self.records)
 
 
+def check_epsilons(eps: list[float]) -> None:
+    """One epsilon is a single run; more form a sweep, whose escape-law fit
+    needs >= 4 of them spanning >= 2 decades."""
+    if len(eps) != 1 and (len(eps) < 4 or max(eps) / min(eps) < 100.0):
+        raise DomainError("sweep needs >= 4 epsilons spanning >= 2 decades")
+
+
 def epsilon_sweep(config: ExperimentConfig, progress=None, records=None) -> SweepReport:
     """Run every epsilon (unless precomputed records are passed, e.g. from a
     parallel executor), then regress escape time against ln(1/eps)."""
     eps = config.epsilons
-    if len(eps) < 4 or max(eps) / min(eps) < 100.0:
-        raise DomainError("sweep needs >= 4 epsilons spanning >= 2 decades")
+    check_epsilons(eps)
     if records is None:
         records = []
         for e in eps:

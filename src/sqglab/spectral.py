@@ -333,21 +333,6 @@ def norm_linf_grad(s: SpectralField) -> float:
     return float(np.max(np.hypot(g1, g2)))
 
 
-def norm(s: SpectralField, which, sigma: float | None = None) -> float:
-    """Dispatch on 'l2' | 'linf' | 'linf_grad' | 'hs' (requires sigma)."""
-    if which == "l2":
-        return norm_l2(s)
-    if which == "linf":
-        return norm_linf(s)
-    if which == "linf_grad":
-        return norm_linf_grad(s)
-    if which == "hs":
-        if sigma is None:
-            raise DomainError("hs norm requires the order sigma")
-        return norm_hs(s, sigma)
-    raise DomainError(f"unknown norm {which!r}")
-
-
 def inner_l2(a: SpectralField, b: SpectralField) -> float:
     """(a, b)_{L2} for real fields, computed spectrally."""
     a, b = a.coeffs, b.coeffs

@@ -324,6 +324,23 @@ def test_cmd_evolve_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cmd_short_sweep_fails_before_computing(tmp_path, monkeypatch):
+    # two epsilons cannot fit the escape law: exit 2 before the steady state,
+    # the spectrum or the pool is built
+    def never(*args, **kwargs):
+        raise AssertionError("reached computation")
+
+    for name in ("_build_steady", "_build_spectrum", "ProcessPoolExecutor"):
+        monkeypatch.setattr(cli, name, never)
+    cfg = steady_ini(
+        tmp_path, n=24, m=2, amplitude=10.0, extra="[experiment]\nepsilons = 1e-2,1e-3\n"
+    )
+    out = tmp_path / "o"
+    for jobs in ("1", "2"):
+        assert main(["instability", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+
+
 def test_cmd_instability_refuses_stable_state(tmp_path):
     cfg = steady_ini(tmp_path, n=32, m=2, amplitude=1.0)
     assert main(["instability", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

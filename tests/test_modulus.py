@@ -20,6 +20,7 @@ from sqglab.modulus import (
     ModulusParams,
     Omega_B,
     Omega_B_with_error,
+    _pow32_second,
     choose_B,
     default_xi_grid,
     empirical_modulus,
@@ -91,7 +92,7 @@ def test_omega_B_increasing_concave_on_grid():
     # admissible small parameters: monotone and concave out to 10 d
     p = ModulusParams(delta_mod=1e-2, gamma_mod=1e-2, B=75.0)
     xi = np.geomspace(1e-8, 10 * TORUS_DIAMETER, 4000)
-    vals = omega_B(p, xi)
+    vals = np.array([omega_B(p, x) for x in xi.tolist()])
     assert np.all(np.diff(vals) > 0)
     # concavity: slopes of consecutive chords decrease
     slopes = np.diff(vals) / np.diff(xi)
@@ -136,6 +137,16 @@ def test_Omega_B_monotone_and_linear_in_A():
 
 
 # -- dissipation bound ---------------------------------------------------------
+
+
+def test_pow32_second_matches_mpmath():
+    # the first-branch second difference (1+w)^{3/2} + (1-w)^{3/2} - 2,
+    # across the whole (0, 1] and around the old series/direct switch at 0.3
+    with mp.workdps(50):
+        for w in np.geomspace(1e-9, 1.0, 200).tolist() + [0.2, 0.25, 0.29, 0.2999, 0.3]:
+            x = mp.mpf(w)
+            ref = (1 + x) ** mp.mpf(1.5) + (1 - x) ** mp.mpf(1.5) - 2
+            assert abs(_pow32_second(w) - ref) <= 1e-15 * ref, w
 
 
 def mp_omega_B_second(p, xi):
