@@ -47,11 +47,12 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     forward,
+    half_values,
     inverse,
     norm_l2,
     norm_linf,
     norm_linf_grad,
-    to_values,
+    real_imag_halves,
 )
 
 STEADY_RESIDUAL_GATE = 1e-10
@@ -76,21 +77,23 @@ def _write_text(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_input(path, n: int, what: str) -> SpectralField:
+    """The coefficients of an SQGF input field, checked to be on the n grid
+    and mean-free."""
+    field = sqgf.read_field(path)
+    if field.grid.n != n:
+        raise ValidationError(f"{what} has n={field.grid.n}, config says n={n}")
+    theta = forward(field)
+    if not theta.mean_free:
+        raise ValidationError(f"{what} must be mean-free")
+    return theta
+
+
 def _build_steady(cfg: RunConfig) -> SteadyState:
     grid = GridSpec(cfg.grid.n)
     if cfg.steady.kind == "shear":
-        if cfg.steady.amplitude == 0.0:
-            return make_steady(forward(PhysicalField(grid, np.zeros((grid.n, grid.n)))))
         return shear_steady_state(grid, cfg.steady.m, cfg.steady.amplitude)
-    field = sqgf.read_field(cfg.steady.file)
-    if field.grid.n != grid.n:
-        raise ValidationError(
-            f"custom steady field has n={field.grid.n}, config says n={grid.n}"
-        )
-    theta0 = forward(field)
-    if not theta0.mean_free:
-        raise ValidationError("custom steady field must be mean-free")
-    return make_steady(theta0)
+    return make_steady(_read_input(cfg.steady.file, grid.n, "custom steady field"))
 
 
 def _build_spectrum(cfg: RunConfig, steady: SteadyState) -> SpectrumResult:
@@ -134,8 +137,8 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_field(out / "theta0.sqgf", g, inverse(steady.theta0).values)
     _write_field(out / "f.sqgf", g, inverse(steady.f).values)
-    _write_field(out / "q0_1.sqgf", g, inverse(steady.q0[0]).values)
-    _write_field(out / "q0_2.sqgf", g, inverse(steady.q0[1]).values)
+    _write_field(out / "q0_1.sqgf", g, steady.advection_base[0])
+    _write_field(out / "q0_2.sqgf", g, steady.advection_base[1])
     _write_text(
         out / "steady_report.txt",
         [
@@ -162,9 +165,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         ((w.real, w.imag) for w in res.eigenvalues[order]),
     )
     g = steady.grid
-    phi_vals = to_values(res.eigenfunction.coeffs, g.n)
-    _write_field(out / "phi_re.sqgf", g, phi_vals.real)
-    _write_field(out / "phi_im.sqgf", g, phi_vals.imag)
+    phi_re, phi_im = half_values(np.stack(real_imag_halves(res.eigenfunction.coeffs)), g.n)
+    _write_field(out / "phi_re.sqgf", g, phi_re)
+    _write_field(out / "phi_im.sqgf", g, phi_im)
     _write_text(
         out / "spectrum_summary.txt",
         [
@@ -186,17 +189,12 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> int:
+    init = None
+    if cfg.time.initial is not None:
+        init = _read_input(cfg.time.initial, cfg.grid.n, "initial field")
     steady = _build_steady(cfg)
     g = steady.grid
-    if cfg.time.initial is not None:
-        init = forward(sqgf.read_field(cfg.time.initial))
-        if init.grid.n != g.n:
-            raise ValidationError("initial field grid does not match config grid")
-        if not init.mean_free:
-            raise ValidationError("initial field must be mean-free")
-    else:
-        init = steady.theta0.copy()
-    state = EvolutionState(init, 0.0, steady, FULL)
+    state = EvolutionState(steady.theta0.copy() if init is None else init, 0.0, steady, FULL)
     stepper = StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
     result = evolve(
         state, cfg.time.t_max, stepper, observe_every=cfg.time.observe_every

@@ -5,7 +5,7 @@ computation starts."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
@@ -72,36 +72,12 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
 
-_PARSERS = {
-    ("grid", "n"): int,
-    ("steady", "kind"): str,
-    ("steady", "m"): int,
-    ("steady", "amplitude"): float,
-    ("steady", "file"): str,
-    ("time", "cfl"): float,
-    ("time", "dt_max"): float,
-    ("time", "t_max"): float,
-    ("time", "observe_every"): float,
-    ("time", "initial"): str,
-    ("spectrum", "k"): int,
-    ("spectrum", "method"): str,
-    ("spectrum", "tau_pow"): float,
-    ("experiment", "epsilons"): lambda s: [float(x) for x in s.split(",") if x.strip()],
-    ("experiment", "threshold"): float,
-    ("experiment", "r"): float,
-    ("modulus", "delta_mod"): float,
-    ("modulus", "gamma_mod"): float,
-    ("modulus", "a"): float,
-    ("modulus", "cbig"): float,
-    ("modulus", "seed"): int,
-    ("io", "out_dir"): str,
-}
-
-_ATTRS = {
-    ("spectrum", "k"): "K",
-    ("experiment", "r"): "R",
-    ("modulus", "a"): "A",
-    ("modulus", "cbig"): "Cbig",
+# parsers by field annotation, `| None` stripped; a key is its field's name, lowercased
+_PARSE = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[float]": lambda s: [float(x) for x in s.split(",") if x.strip()],
 }
 
 
@@ -117,17 +93,18 @@ def load_config(path) -> RunConfig:
         raise ValidationError(f"cannot parse config: {exc}") from exc
 
     cfg = RunConfig()
+    sections = {f.name for f in fields(cfg)}
     for section in parser.sections():
-        target = getattr(cfg, section, None)
-        if target is None:
+        if section not in sections:
             raise ValidationError(f"unknown config section [{section}]")
+        target = getattr(cfg, section)
+        keys = {f.name.lower(): f for f in fields(target)}
         for key, raw in parser.items(section):
-            parse = _PARSERS.get((section, key))
-            if parse is None:
+            f = keys.get(key)
+            if f is None:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
-            attr = _ATTRS.get((section, key), key)
             try:
-                setattr(target, attr, parse(raw))
+                setattr(target, f.name, _PARSE[f.type.removesuffix(" | None")](raw))
             except ValueError as exc:
                 raise ValidationError(
                     f"bad value for [{section}] {key} = {raw!r}: {exc}"

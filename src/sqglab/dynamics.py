@@ -8,7 +8,8 @@ advection and force explicit), and the one time loop, `integrate` (CFL step,
 landing on observation times, finite check, gradient guard), which `evolve`
 and `growth.run_perturbation` drive.  The kernel, the step and the loop work
 on rfft2 half-spectra (see `spectral`); the public functions take and return
-full coefficients and convert at their boundary.
+full coefficients and convert at their boundary.  A steady state is theta0
+and f; its velocity q0 and gradient come from the kernel's own symbols.
 """
 
 from __future__ import annotations
@@ -22,20 +23,17 @@ from .errors import BlowUpError, DomainError, ResolutionError
 from .spectral import (
     GridSpec,
     SpectralField,
-    derivative,
     from_values,
     half,
     half_coeffs,
     half_values,
     inner_l2,
-    lambda_pow,
     meshgrid,
     mirror,
     norm_hs,
     norm_l2,
     norm_linf,
     norm_linf_grad,
-    velocity_from_theta,
 )
 
 FULL = "full"
@@ -48,11 +46,10 @@ GRAD_GUARD_FACTOR = 1e3
 
 @dataclass
 class SteadyState:
-    """Triple (theta0, q0, f) with q0 = (R2 theta0, -R1 theta0) and
-    q0.grad(theta0) + Lambda(theta0) = f."""
+    """Pair (theta0, f) with q0.grad(theta0) + Lambda(theta0) = f, where
+    q0 = (R2 theta0, -R1 theta0) is the velocity theta0 induces."""
 
     theta0: SpectralField
-    q0: tuple[SpectralField, SpectralField]
     f: SpectralField
 
     @property
@@ -63,8 +60,8 @@ class SteadyState:
     def advection_base(self) -> np.ndarray:
         """Collocation values (q0_1, q0_2, d_1 theta0, d_2 theta0), shape (4, n, n):
         the `base` argument of `advection`."""
-        fields = (self.q0[0], self.q0[1], derivative(self.theta0, 1), derivative(self.theta0, 2))
-        return half_values(half(np.stack([s.coeffs for s in fields])), self.grid.n)
+        g = self.grid
+        return half_values(half(self.theta0.coeffs) * g.half_advection_symbols, g.n)
 
     def residual_linf(self) -> float:
         """sup norm of q0.grad(theta0) + Lambda(theta0) - f."""
@@ -130,10 +127,9 @@ def make_steady(theta0: SpectralField) -> SteadyState:
         raise ResolutionError(
             "steady state carries energy at the dealias boundary; increase n"
         )
-    adv = -mirror(advection(half(theta0.coeffs), g), g.n)
-    f = SpectralField(g, adv + lambda_pow(theta0, 1.0).coeffs)
-    q0 = velocity_from_theta(theta0)
-    return SteadyState(theta0=theta0.copy(), q0=q0, f=f)
+    h = half(theta0.coeffs)
+    f = SpectralField(g, mirror(g.half_kmag * h - advection(h, g), g.n))
+    return SteadyState(theta0=theta0.copy(), f=f)
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:

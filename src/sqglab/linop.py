@@ -222,7 +222,11 @@ def rightmost_eigenpair(
     eigensolves the k1 = 0, 1, ..., K blocks, appends the conjugate spectrum
     of each k1 > 0 block for k1 < 0, and takes phi from the block holding the
     eigenvalue of largest real part, ties within 1e-12 max(1, |mu|) going to
-    the smaller k1.  For a shear state phi thus lives on one k1 >= 0."""
+    the smaller k1.  For a shear state phi thus lives on one k1 >= 0.  When mu
+    is repeated in that block (eigenvalues within the same tolerance), phi is
+    the projection onto its eigenspace of the first mode whose projection
+    weight is within 1e-6 of the largest, so it does not depend on which
+    basis of the eigenspace the eigensolver returns."""
     K = op.grid.dealias_radius if K is None else K
     if method == "dense":
         return _rightmost_dense(op, K, cap)
@@ -261,10 +265,13 @@ def _rightmost_dense(op: LinearOperator, K: int, cap: int) -> SpectrumResult:
         spectra += [w, w.conj()] if k1 > 0 else [w]
         top = _rightmost_index(w)
         if best is None or w[top].real > best[0].real + 1e-12 * max(1.0, abs(best[0])):
-            best = w[top], s, V[:, top]
-    mu, s, v = best
+            best = w[top], s, w, V
+    mu, s, w, V = best
+    Q, _ = np.linalg.qr(V[:, np.abs(w - mu) <= 1e-12 * max(1.0, abs(mu))])
+    weight = np.sum(np.abs(Q) ** 2, axis=1)
+    j = int(np.argmax(weight >= (1.0 - 1e-6) * weight.max()))
     vec = np.zeros(A.shape[0], dtype=np.complex128)
-    vec[s] = v
+    vec[s] = Q @ Q[j].conj()
     return _result(op, K, mode_index(op.grid, K), np.concatenate(spectra), mu, vec, "dense")
 
 

@@ -18,6 +18,10 @@ fftfreq, k1 along axis 0):
   k2 = -n/2).  The time loop and the advection kernel work in it.  `half`
   and `mirror` convert, the latter by conjugate symmetry, no FFT.
 
+Every transform is an rfft2/irfft2; a complex field goes through one as the
+half-spectra of its real and imaginary parts (`real_imag_halves`).  One table,
+`GridSpec.advection_symbols`, holds the velocity and gradient symbols.
+
 Mean-free fields have fhat(0,0) = 0 exactly.
 """
 
@@ -129,14 +133,6 @@ class SpectralField:
     def mean_free(self) -> bool:
         return self.coeffs[0, 0] == 0.0
 
-    def is_real_symmetric(self, rtol: float = SYMMETRY_RTOL) -> bool:
-        c = self.coeffs
-        reflected = np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))
-        scale = np.linalg.norm(c)
-        if scale == 0.0:
-            return True
-        return np.linalg.norm(reflected.conj() - c) <= rtol * scale
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
@@ -178,20 +174,19 @@ def forward(p: PhysicalField) -> SpectralField:
 
 
 def inverse(s: SpectralField, rtol: float = SYMMETRY_RTOL) -> PhysicalField:
-    """Fourier coefficients -> real physical values; rejects asymmetric input."""
-    v = np.fft.ifft2(s.coeffs) * s.grid.n**2
-    scale = np.max(np.abs(v))
-    if scale > 0 and np.max(np.abs(v.imag)) > rtol * scale:
+    """Fourier coefficients -> real physical values; rejects input whose
+    imaginary part exceeds rtol times the field magnitude."""
+    re, im = real_imag_halves(s.coeffs)
+    if not np.any(im):  # exactly conjugate-symmetric, as the program makes real fields
+        return PhysicalField(s.grid, half_values(re, s.grid.n))
+    re, im = half_values(np.stack([re, im]), s.grid.n)
+    scale = np.sqrt(np.max(re * re + im * im))
+    if scale > 0 and np.max(np.abs(im)) > rtol * scale:
         raise SymmetryError(
             "conjugate symmetry broken: imaginary residue "
-            f"{np.max(np.abs(v.imag)) / scale:.3e} of field magnitude"
+            f"{np.max(np.abs(im)) / scale:.3e} of field magnitude"
         )
-    return PhysicalField(s.grid, np.ascontiguousarray(v.real))
-
-
-def to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Complex collocation values of a coefficient array (no symmetry check)."""
-    return np.fft.ifft2(coeffs) * n**2
+    return PhysicalField(s.grid, re)
 
 
 def to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
@@ -260,14 +255,11 @@ def riesz(s: SpectralField, j: int) -> SpectralField:
     """Riesz transform R_j = d_j Lambda^{-1}, symbol i k_j / |k|."""
     if not s.mean_free:
         raise DomainError("riesz transform requires a mean-free field")
-    g = s.grid
-    kj = g.k1 if j == 1 else g.k2 if j == 2 else None
-    if kj is None:
+    if j not in (1, 2):
         raise DomainError(f"riesz component must be 1 or 2, got {j}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(g.kmag > 0, 1j * kj / g.kmag, 0.0)
-    # odd symbol: zero the Nyquist rows
-    return SpectralField(g, s.coeffs * mult * g.nyquist_mask)
+    # the velocity slots of the advection symbols: u1 = R2, u2 = -R1
+    u = s.grid.advection_symbols
+    return SpectralField(s.grid, s.coeffs * (u[0] if j == 2 else -u[1]))
 
 
 def velocity_from_theta(s: SpectralField):

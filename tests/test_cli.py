@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqglab import cli, errors, sqgf
+from sqglab import cli, dynamics, errors, sqgf
 from sqglab.cli import main
 from sqglab.config import load_config
 from sqglab.spectral import GridSpec, PhysicalField, meshgrid
@@ -26,6 +26,25 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_complex_ffts(tmp_path, monkeypatch):
+    # every transform of the program is an rfft2/irfft2 of half-spectra
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT called")
+
+    g = GridSpec(16)
+    x1, x2 = meshgrid(g)
+    init = tmp_path / "init.sqgf"
+    sqgf.write_field(init, PhysicalField(g, -10.0 * np.cos(2 * x2) + 0.1 * np.sin(x1)))
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    cfg = steady_ini(
+        tmp_path, n=16, m=2, amplitude=10.0,
+        extra=f"[time]\nt_max = 0.05\nobserve_every = 0.025\ninitial = {init}\n",
+    )
+    for command in ("steady", "spectrum", "evolve"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
 
 
 def write_config(path, text):
@@ -212,6 +231,20 @@ def test_cmd_missing_input_file_is_validation_error(tmp_path):
         cfg = write_config(tmp_path / "run.ini", text)
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_cmd_evolve_checks_initial_before_steady_state(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached the steady state")
+
+    monkeypatch.setattr(cli, "make_steady", never)
+    monkeypatch.setattr(dynamics, "make_steady", never)
+    init = tmp_path / "init.sqgf"
+    sqgf.write_field(init, PhysicalField(GridSpec(32), np.zeros((32, 32))))
+    cfg = steady_ini(tmp_path, n=64, m=2, amplitude=10.0, extra=f"[time]\ninitial = {init}\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cmd_negative_seed_is_validation_error(tmp_path):

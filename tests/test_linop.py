@@ -271,6 +271,18 @@ def test_dense_tie_goes_to_smaller_k1():
         assert np.sum(np.abs(w + 1.0) < 1e-10) == copies
 
 
+def test_degenerate_phi_independent_of_grid():
+    # lambda = -1 is double in the k1 = 0 block of theta0 = -2e-4 cos(x2);
+    # phi must not depend on the basis of that eigenspace the solver returns
+    K, phis = 8, []
+    for n in (24, 26, 30, 32, 48):
+        g = GridSpec(n)
+        res = rightmost_eigenpair(LinearOperator(shear_steady_state(g, m=1, amplitude=2e-4)), K=K)
+        phis.append(res.eigenfunction.coeffs[mode_index(g, K)])
+    for phi in phis[1:]:
+        assert np.max(np.abs(phi - phis[0])) < 1e-12
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_block_spectrum_matches_full_matrix(m):
     g = GridSpec(24)
