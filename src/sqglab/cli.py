@@ -34,7 +34,7 @@ from .errors import (
     SqgLabError,
     ValidationError,
 )
-from .growth import ExperimentConfig, GrowthRecord, check_epsilons, epsilon_sweep, run_perturbation
+from .growth import ExperimentConfig, check_epsilons, epsilon_sweep, run_perturbation
 from .linop import LinearOperator, SpectrumResult, dense_dimension, rightmost_eigenpair
 from .modulus import (
     ModulusParams,
@@ -70,6 +70,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _write_series(path: Path, series: dict[str, np.ndarray]) -> None:
+    _write_csv(path, list(series), zip(*series.values()))
+
+
+def _series_name(epsilon: float) -> str:
+    return f"series_eps_{epsilon:.3e}.csv"
 
 
 def _write_text(path: Path, lines: list[str]) -> None:
@@ -200,33 +208,10 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
         state, cfg.time.t_max, stepper, observe_every=cfg.time.observe_every
     )
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "series.csv",
-        ["t", "l2", "linf", "linf_grad", "hhalf", "energy_flux"],
-        (
-            (r["t"], r["l2"], r["linf"], r["linf_grad"], r["hhalf"], r["energy_flux"])
-            for r in result.records
-        ),
-    )
+    _write_series(out / "series.csv", result.series)
     _write_field(out / "theta_final.sqgf", g, inverse(result.state.theta).values)
-    print(f"evolved to t = {result.state.t:g} ({len(result.records)} records)")
+    print(f"evolved to t = {result.state.t:g} ({result.series['t'].size} records)")
     return 0
-
-
-def _series_rows(rec: GrowthRecord):
-    for i in range(rec.t.size):
-        yield (
-            rec.t[i],
-            rec.l2[i],
-            rec.linf_full[i],
-            rec.linf_grad_full[i],
-            rec.hhalf[i],
-            rec.energy_flux[i],
-            rec.duhamel_residual[i],
-        )
-
-
-_SERIES_HEADER = ["t", "l2", "linf", "linf_grad", "hhalf", "energy_flux", "duhamel_residual"]
 
 
 def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
@@ -244,7 +229,7 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         print("single epsilon: running one record, no regression")
         rec = run_perturbation(exp, exp.epsilons[0])
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"series_eps_{rec.epsilon:.3e}.csv", _SERIES_HEADER, _series_rows(rec))
+        _write_series(out / _series_name(rec.epsilon), rec.series)
         return 0
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(exp.epsilons))) as pool:
@@ -254,7 +239,7 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         report = epsilon_sweep(exp)
     out.mkdir(parents=True, exist_ok=True)
     for rec in report.records:
-        _write_csv(out / f"series_eps_{rec.epsilon:.3e}.csv", _SERIES_HEADER, _series_rows(rec))
+        _write_series(out / _series_name(rec.epsilon), rec.series)
     _write_csv(
         out / "sweep.csv",
         ["epsilon", "lambda_hat", "escape_time", "escape_norm", "max_grad_linf"],
@@ -396,10 +381,13 @@ def main(argv=None) -> int:
             raise ValidationError("--jobs must be at least 1")
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.io.out_dir)
-        # a dense spectrum over its size cap, or a sweep too short to fit the
-        # escape law, fails before any computation
+        # a dense spectrum over its size cap, a sweep too short to fit the
+        # escape law, or epsilons sharing a series file fail before computing
         if args.command == "instability":
-            check_epsilons(cfg.experiment.epsilons)
+            eps = cfg.experiment.epsilons
+            check_epsilons(eps)
+            if len({_series_name(e) for e in eps}) < len(eps):
+                raise ValidationError(f"two epsilons share a series file: {eps}")
         if cfg.spectrum.method == "dense" and (
             args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
         ):

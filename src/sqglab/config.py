@@ -5,6 +5,7 @@ computation starts."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -72,12 +73,19 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
 
+def _finite(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
+
+
 # parsers by field annotation, `| None` stripped; a key is its field's name, lowercased
 _PARSE = {
     "int": int,
-    "float": float,
+    "float": _finite,
     "str": str,
-    "list[float]": lambda s: [float(x) for x in s.split(",") if x.strip()],
+    "list[float]": lambda s: [_finite(x) for x in s.split(",") if x.strip()],
 }
 
 

@@ -5,11 +5,13 @@ This module holds the one advection kernel, `advection` (full, linearized and
 perturbation variants; `linop` applies L through it), the one
 integrating-factor RK4 step, `if_rk4_step` (exp(-|k| dt) applied exactly,
 advection and force explicit), and the one time loop, `integrate` (CFL step,
-landing on observation times, finite check, gradient guard), which `evolve`
-and `growth.run_perturbation` drive.  The kernel, the step and the loop work
-on rfft2 half-spectra (see `spectral`); the public functions take and return
-full coefficients and convert at their boundary.  A steady state is theta0
-and f; its velocity q0 and gradient come from the kernel's own symbols.
+landing on observation times, finite check, gradient guard) on a slot stack:
+`evolve` steps one slot, `growth.run_perturbation` two, the second the
+co-evolved linear solution.  Both return a series, one array per
+`observed_norms` key.  The kernel, the step and the loop work on rfft2
+half-spectra (see `spectral`); the public functions take and return full
+coefficients and convert at their boundary.  A steady state is theta0 and f;
+its velocity q0 and gradient come from the kernel's own symbols.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .spectral import (
     norm_hs,
     norm_l2,
     norm_linf,
-    norm_linf_grad,
 )
 
 FULL = "full"
@@ -252,19 +253,28 @@ def step(state: EvolutionState, dt: float, config: StepperConfig | None = None) 
 
 def observed_norms(state: EvolutionState) -> dict[str, float]:
     """l2 and hhalf of the evolved field; linf, linf_grad and the energy flux of
-    the full field theta0 + theta (the same field in full mode)."""
+    the full field theta0 + theta (the same field in full mode).  The keys, in
+    order, are the columns of a run's series."""
     theta, full = state.theta, state.full_theta()
+    g = theta.grid
     hhalf = norm_hs(theta, 0.5)
     hhalf_full = hhalf if state.mode == FULL else norm_hs(full, 0.5)
+    # norm_linf's `inverse` checks the symmetry that the derivative symbols keep
+    d1, d2 = half_values(half(full.coeffs) * g.half_advection_symbols[2:], g.n)
     return {
         "t": state.t,
         "l2": norm_l2(theta),
         "linf": norm_linf(full),
-        "linf_grad": norm_linf_grad(full),
+        "linf_grad": float(np.max(np.hypot(d1, d2))),
         "hhalf": hhalf,
         # d/dt ||Theta||_{L2}^2 = 2 (f, Theta) - 2 ||Lambda^{1/2} Theta||^2
         "energy_flux": 2.0 * inner_l2(state.steady.f, full) - 2.0 * hhalf_full**2,
     }
+
+
+def to_series(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
+    """The columns of observation rows: one array per key, in key order."""
+    return {key: np.array([r[key] for r in rows]) for key in rows[0]}
 
 
 def integrate(
@@ -279,28 +289,26 @@ def integrate(
     """The time loop: yield (c, norms) at the start, at every observation time
     and at t_final; the caller stops the run early by leaving the loop.
 
-    c holds the full coefficients of the field in `mode`; the loop steps its
-    half-spectrum and yields full coefficients.  In perturbation mode c may be
-    a (2, n, n) stack whose slot 1 is the co-evolved linear solution: one
-    kernel call advances both slots with the same steps, slot 1 with the
-    linearized variant.  The CFL step, read off the velocity of the first RK
-    stage, and the norms (`observed_norms`) use slot 0 only.
+    c is a slot stack, the full coefficients (slots, n, n) of fields in
+    `mode`; the loop steps its half-spectra, one kernel call per RK stage,
+    and yields full coefficients.  Slot 0 is the observed field: the CFL step,
+    read off its velocity at the first RK stage, and the norms
+    (`observed_norms`) use it alone.  In perturbation mode every further slot
+    is stepped with the linearized variant, which makes slot 1 the co-evolved
+    linear solution.
 
     Raises BlowUpError on non-finite coefficients, or when the full-field
     linf_grad exceeds GRAD_GUARD_FACTOR times max(its initial value, 1), with
     the norms as diagnostics.
     """
     g = steady.grid
-    stacked = c.ndim == 3
-    advect = _explicit(steady, mode, np.array([1.0, 0.0])[:, None, None] if stacked else 1.0)
+    advect = _explicit(steady, mode, np.where(np.arange(len(c)) == 0, 1.0, 0.0)[:, None, None])
 
     def explicit(h):
         return advect(h)[0]
 
     def norms_at(cc, tt):
-        return observed_norms(
-            EvolutionState(SpectralField(g, cc[0] if stacked else cc), tt, steady, mode)
-        )
+        return observed_norms(EvolutionState(SpectralField(g, cc[0]), tt, steady, mode))
 
     if not np.all(np.isfinite(c)):
         raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
@@ -312,10 +320,8 @@ def integrate(
     dt_prev = None
     while t < t_final - 1e-14:
         k1, (U1, U2) = advect(h)
-        if stacked:
-            U1, U2 = U1[0], U2[0]
         # land exactly on the next observation time and on t_final
-        dt = min(_cfl(U1, U2, g, config), next_obs - t, t_final - t)
+        dt = min(_cfl(U1[0], U2[0], g, config), next_obs - t, t_final - t)
         if dt != dt_prev:
             e1, e2 = decay_factors(g, dt)
             dt_prev = dt
@@ -335,7 +341,7 @@ def integrate(
 @dataclass
 class EvolveResult:
     state: EvolutionState
-    records: list[dict]
+    series: dict[str, np.ndarray]
 
 
 def evolve(
@@ -351,14 +357,14 @@ def evolve(
     gradient exceeds GRAD_GUARD_FACTOR times max(its initial value, 1).
     """
     config = config or StepperConfig()
-    records: list[dict] = []
+    rows: list[dict] = []
     run = integrate(
-        state.steady, state.mode, state.theta.coeffs.copy(), state.t, t_final,
+        state.steady, state.mode, state.theta.coeffs[None].copy(), state.t, t_final,
         config, observe_every,
     )
     for c, norms in run:
-        records.append(norms)
+        rows.append(norms)
         if observer is not None:
             observer(norms["t"], norms)
-    final = replace(state, theta=SpectralField(state.theta.grid, c), t=norms["t"])
-    return EvolveResult(state=final, records=records)
+    final = replace(state, theta=SpectralField(state.theta.grid, c[0]), t=norms["t"])
+    return EvolveResult(state=final, series=to_series(rows))

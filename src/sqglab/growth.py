@@ -5,7 +5,9 @@ estimate escape times, and regress the escape-time law against ln(1/eps).
 Each run co-evolves the linear semigroup from the same data, so the recorded
 Duhamel residual ||theta(t) - e^{Lt} eps phi|| isolates the nonlinear part.
 The run is `dynamics.integrate`, the time loop `dynamics.evolve` uses, on a
-stack whose slot 1 is the linear solution: one kernel call advances both.
+two-slot stack whose slot 1 is the linear solution: one kernel call advances
+both.  Its series is that of `dynamics.evolve` plus the duhamel_residual
+column.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PERTURBATION, StepperConfig, SteadyState, integrate
+from .dynamics import PERTURBATION, StepperConfig, SteadyState, integrate, to_series
 from .errors import DomainError, FitError
 from .linop import SpectrumResult
 from .spectral import SpectralField, mirror, norm_l2, real_imag_halves
@@ -52,18 +54,14 @@ class ExperimentConfig:
 class GrowthRecord:
     """Time series and fitted quantities for one eps-experiment.
 
-    l2, hhalf and duhamel_residual monitor the perturbation; linf_full,
-    linf_grad_full and energy_flux monitor the full field theta0 + theta.
+    series holds the columns of `dynamics.observed_norms`, in its key order,
+    plus duhamel_residual: l2, hhalf and duhamel_residual monitor the
+    perturbation; linf, linf_grad and energy_flux the full field
+    theta0 + theta.
     """
 
     epsilon: float
-    t: np.ndarray
-    l2: np.ndarray
-    linf_full: np.ndarray
-    linf_grad_full: np.ndarray
-    duhamel_residual: np.ndarray
-    hhalf: np.ndarray | None = None
-    energy_flux: np.ndarray | None = None
+    series: dict[str, np.ndarray]
     lambda_hat: float | None = None
     escape_time: float | None = None
     escape_norm: float | None = None
@@ -71,8 +69,16 @@ class GrowthRecord:
     vacuous: bool = False
 
     @property
+    def t(self) -> np.ndarray:
+        return self.series["t"]
+
+    @property
+    def l2(self) -> np.ndarray:
+        return self.series["l2"]
+
+    @property
     def max_grad_linf(self) -> float:
-        return float(np.max(self.linf_grad_full))
+        return float(np.max(self.series["linf_grad"]))
 
 
 def real_eigenfunction(spectrum: SpectrumResult) -> SpectralField:
@@ -112,8 +118,7 @@ def run_perturbation(
     )
     for (c, c_lin), norms in run:
         t, l2 = norms["t"], norms["l2"]
-        d = c - c_lin
-        norms["duhamel_residual"] = 2 * np.pi * float(np.sqrt(np.sum(d.real**2 + d.imag**2)))
+        norms["duhamel_residual"] = norm_l2(SpectralField(steady.grid, c - c_lin))
         rows.append(norms)
         if (
             envelope_time is None
@@ -126,18 +131,8 @@ def run_perturbation(
         if l2 >= config.threshold:
             break
 
-    col = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     rec = GrowthRecord(
-        epsilon=epsilon,
-        t=col["t"],
-        l2=col["l2"],
-        linf_full=col["linf"],
-        linf_grad_full=col["linf_grad"],
-        duhamel_residual=col["duhamel_residual"],
-        hhalf=col["hhalf"],
-        energy_flux=col["energy_flux"],
-        envelope_time=envelope_time,
-        vacuous=vacuous,
+        epsilon=epsilon, series=to_series(rows), envelope_time=envelope_time, vacuous=vacuous
     )
     rec.escape_time = escape_time(rec, config.threshold)
     if rec.escape_time is not None:

@@ -135,6 +135,35 @@ def test_config_rejects_bad_values(tmp_path):
             load_config(write_config(tmp_path / f"{name}.ini", text))
 
 
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        ("time", "dt_max"),
+        ("time", "t_max"),
+        ("time", "observe_every"),
+        ("experiment", "r"),
+        ("experiment", "threshold"),
+        ("spectrum", "tau_pow"),
+        ("modulus", "a"),
+        ("modulus", "cbig"),
+        ("steady", "amplitude"),
+    ],
+)
+def test_config_rejects_non_finite_values(tmp_path, section, key):
+    # each check of these keys is a comparison, which nan and inf slip past
+    for value in ("nan", "inf"):
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(errors.ValidationError, match="bad value"):
+            load_config(write_config(tmp_path / "c.ini", text))
+
+
+def test_cmd_non_finite_t_max_fails_before_computing(tmp_path):
+    cfg = steady_ini(tmp_path, n=24, m=2, amplitude=10.0, extra="[time]\nt_max = nan\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # -- SQGF ------------------------------------------------------------------------
 
 
@@ -372,6 +401,50 @@ def test_cmd_short_sweep_fails_before_computing(tmp_path, monkeypatch):
     for jobs in ("1", "2"):
         assert main(["instability", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
         assert not out.exists()
+
+
+def test_cmd_epsilons_sharing_a_series_file_fail_before_computing(tmp_path, monkeypatch):
+    # series_eps_{eps:.3e}.csv: a repeated name would overwrite a run's series
+    def never(*args, **kwargs):
+        raise AssertionError("reached computation")
+
+    for name in ("_build_steady", "_build_spectrum", "ProcessPoolExecutor"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "o"
+    for eps in ("1e-2,1e-2,1e-3,1e-4", "1.00004e-2,1e-2,1e-3,1e-4"):
+        cfg = steady_ini(
+            tmp_path, n=24, m=2, amplitude=10.0, extra=f"[experiment]\nepsilons = {eps}\n"
+        )
+        assert main(["instability", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_series_csv_header_is_the_series_keys(tmp_path, monkeypatch):
+    returned = {}
+
+    def keep(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            returned[name] = fn(*args, **kwargs)
+            return returned[name]
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    keep("evolve")
+    keep("run_perturbation")
+    cfg = steady_ini(
+        tmp_path, n=24, m=2, amplitude=10.0,
+        extra="[time]\nt_max = 0.1\nobserve_every = 0.05\n[experiment]\nepsilons = 1e-2\n",
+    )
+    for command in ("evolve", "instability"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    header = (tmp_path / "evolve" / "series.csv").read_text().splitlines()[0]
+    header_eps = (tmp_path / "instability" / "series_eps_1.000e-02.csv").read_text().splitlines()[0]
+    assert header == "t,l2,linf,linf_grad,hhalf,energy_flux"
+    assert header_eps == header + ",duhamel_residual"
+    assert header.split(",") == list(returned["evolve"].series)
+    assert header_eps.split(",") == list(returned["run_perturbation"].series)
 
 
 def test_cmd_instability_refuses_stable_state(tmp_path):

@@ -319,11 +319,11 @@ def test_unforced_energy_decay_and_balance(g64):
     c = 0.1 * (c + np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))))
     state = EvolutionState(SpectralField(g64, c), 0.0, zero, FULL)
     res = evolve(state, 0.5, StepperConfig(cfl=0.4, dt_max=1e-3), observe_every=0.01)
-    l2 = np.array([r["l2"] for r in res.records])
+    l2 = res.series["l2"]
     assert np.all(np.diff(l2) < 0)  # strictly decaying without forcing
     # d/dt ||Theta||^2 = flux, checked by centered differences on the records
-    t = np.array([r["t"] for r in res.records])
-    flux = np.array([r["energy_flux"] for r in res.records])
+    t = res.series["t"]
+    flux = res.series["energy_flux"]
     dE = (l2[2:] ** 2 - l2[:-2] ** 2) / (t[2:] - t[:-2])
     mid = flux[1:-1]
     assert np.max(np.abs(dE - mid)) < 0.01 * np.max(np.abs(mid))
@@ -357,8 +357,8 @@ def test_unforced_linf_maximum_principle(g64):
     theta = from_values(g64, np.sin(x1) + 0.7 * np.cos(2 * x2) + 0.3 * np.sin(x2 + x1))
     state = EvolutionState(theta, 0.0, zero, FULL)
     res = evolve(state, 1.0, StepperConfig(cfl=0.4, dt_max=2e-3), observe_every=0.05)
-    linf = np.array([r["linf"] for r in res.records])
-    t = np.array([r["t"] for r in res.records])
+    linf = res.series["linf"]
+    t = res.series["t"]
     slack = 1e-6 * np.diff(t)
     assert np.all(np.diff(linf) <= slack)
 
@@ -386,7 +386,7 @@ def test_grid_refinement_consistency():
         )
         state = EvolutionState(theta, 0.0, ss, PERTURBATION)
         res = evolve(state, 0.5, StepperConfig(cfl=0.9, dt_max=1e-3), observe_every=0.1)
-        records[n] = np.array([r["l2"] for r in res.records])
+        records[n] = res.series["l2"]
     assert np.max(np.abs(records[64] - records[128])) < 1e-6
 
 

@@ -27,15 +27,9 @@ from sqglab.spectral import GridSpec, SpectralField, norm_l2, real_imag_halves
 
 
 def synthetic_record(t, l2):
-    z = np.zeros_like(np.asarray(t, dtype=float))
-    return GrowthRecord(
-        epsilon=1.0,
-        t=np.asarray(t, dtype=float),
-        l2=np.asarray(l2, dtype=float),
-        linf_full=z,
-        linf_grad_full=z,
-        duhamel_residual=z,
-    )
+    # the fits and escape_time read only the t and l2 columns
+    series = {"t": np.asarray(t, dtype=float), "l2": np.asarray(l2, dtype=float)}
+    return GrowthRecord(epsilon=1.0, series=series)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +130,8 @@ def test_run_perturbation_matches_evolve():
     rec = run_perturbation(cfg, 1e-2)
     theta = SpectralField(g, 1e-2 * real_eigenfunction(spec).coeffs)
     res = evolve(EvolutionState(theta, 0.0, ss, PERTURBATION), 1.0, cfg.stepper, observe_every=0.05)
-    t = np.array([r["t"] for r in res.records])
-    l2 = np.array([r["l2"] for r in res.records])
+    t = res.series["t"]
+    l2 = res.series["l2"]
     assert rec.t.size == 21 and np.array_equal(rec.t, t)
     assert np.max(np.abs(rec.l2 - l2)) < 1e-12 * np.max(l2)
 
@@ -161,7 +155,7 @@ def test_duhamel_residual_quadratically_small(run_1em4):
     _, rec = run_1em4
     small = rec.l2 <= 0.01
     assert np.count_nonzero(small) > 10
-    ratio = rec.duhamel_residual[small][1:] / rec.l2[small][1:]
+    ratio = rec.series["duhamel_residual"][small][1:] / rec.l2[small][1:]
     assert np.max(ratio) < 0.1
 
 
@@ -198,7 +192,7 @@ def test_duhamel_fraction_vanishes_with_eps(two_short_runs):
     fracs = {}
     for eps, rec in two_short_runs.items():
         i = int(np.argmin(np.abs(rec.t - 2.0)))
-        fracs[eps] = rec.duhamel_residual[i] / rec.l2[i]
+        fracs[eps] = rec.series["duhamel_residual"][i] / rec.l2[i]
     assert fracs[1e-4] < 0.05 * fracs[1e-2]
 
 
