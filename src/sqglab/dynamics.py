@@ -35,6 +35,7 @@ from .spectral import (
     norm_hs,
     norm_l2,
     norm_linf,
+    norm_linf_grad,
 )
 
 FULL = "full"
@@ -256,16 +257,14 @@ def observed_norms(state: EvolutionState) -> dict[str, float]:
     the full field theta0 + theta (the same field in full mode).  The keys, in
     order, are the columns of a run's series."""
     theta, full = state.theta, state.full_theta()
-    g = theta.grid
     hhalf = norm_hs(theta, 0.5)
     hhalf_full = hhalf if state.mode == FULL else norm_hs(full, 0.5)
-    # norm_linf's `inverse` checks the symmetry that the derivative symbols keep
-    d1, d2 = half_values(half(full.coeffs) * g.half_advection_symbols[2:], g.n)
+    # norm_linf's `inverse` checks the symmetry that norm_linf_grad assumes
     return {
         "t": state.t,
         "l2": norm_l2(theta),
         "linf": norm_linf(full),
-        "linf_grad": float(np.max(np.hypot(d1, d2))),
+        "linf_grad": norm_linf_grad(full),
         "hhalf": hhalf,
         # d/dt ||Theta||_{L2}^2 = 2 (f, Theta) - 2 ||Lambda^{1/2} Theta||^2
         "energy_flux": 2.0 * inner_l2(state.steady.f, full) - 2.0 * hhalf_full**2,
@@ -293,16 +292,16 @@ def integrate(
     `mode`; the loop steps its half-spectra, one kernel call per RK stage,
     and yields full coefficients.  Slot 0 is the observed field: the CFL step,
     read off its velocity at the first RK stage, and the norms
-    (`observed_norms`) use it alone.  In perturbation mode every further slot
-    is stepped with the linearized variant, which makes slot 1 the co-evolved
-    linear solution.
+    (`observed_norms`) use it alone.  The stack has one slot, or, in
+    perturbation mode, two: slot 1 is stepped with the linearized variant,
+    which makes it the co-evolved linear solution.
 
     Raises BlowUpError on non-finite coefficients, or when the full-field
     linf_grad exceeds GRAD_GUARD_FACTOR times max(its initial value, 1), with
     the norms as diagnostics.
     """
     g = steady.grid
-    advect = _explicit(steady, mode, np.where(np.arange(len(c)) == 0, 1.0, 0.0)[:, None, None])
+    advect = _explicit(steady, mode, np.array([1.0, 0.0])[: len(c), None, None])
 
     def explicit(h):
         return advect(h)[0]

@@ -319,10 +319,11 @@ def norm_linf(s: SpectralField) -> float:
 
 
 def norm_linf_grad(s: SpectralField) -> float:
-    """sup over the grid of the Euclidean norm of the gradient."""
-    g1 = inverse(derivative(s, 1)).values
-    g2 = inverse(derivative(s, 2)).values
-    return float(np.max(np.hypot(g1, g2)))
+    """sup over the grid of the Euclidean norm of the gradient, from one stacked
+    transform of the half-spectrum; s must be conjugate-symmetric (`norm_linf`'s
+    `inverse` checks it)."""
+    d1, d2 = half_values(half(s.coeffs) * s.grid.half_advection_symbols[2:], s.grid.n)
+    return float(np.max(np.hypot(d1, d2)))
 
 
 def inner_l2(a: SpectralField, b: SpectralField) -> float:
