@@ -47,7 +47,7 @@ class FitError(SqgLabError):
 
 
 class QuadratureError(SqgLabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature of a bound functional produced a non-finite value."""
 
 
 class ValidationError(SqgLabError):

@@ -14,6 +14,17 @@ matter how large B is taken.  Force and oscillation scales beyond that are
 genuinely out of reach of this modulus family (the B-selection reports the
 gap rather than silently failing).
 
+The bound functionals are Kiselev-Nazarov-Volberg's (Invent. Math. 167,
+2007).  The advection bound Omega_B is in closed form: its head integral is
+elementary, and its tail integral above the seam reduces to the exponential
+integral E1 at arguments >= 4, which a continued fraction gives to rounding.
+The dissipation bound M_B is two integrals over pieces split at the kinks of
+omega_B, each by one vectorised tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
+1974), plus an analytic tail bounded by concavity.  The rule halves its step
+until successive levels agree to max(epsabs, epsrel |I|); M_B's reported
+error is the sum of those halving estimates and the tail bound, and Omega_B's
+is 0.  No scipy module is imported.
+
 B is selected on the grid 1.25**j, 1e-6 <= B <= B_CAP: every selection
 condition is monotone in B, so one integer bisection on j finds each
 condition's least grid point, and B is the largest of them.
@@ -34,6 +45,8 @@ TORUS_DIAMETER = 2.0 * math.pi * math.sqrt(2.0)
 
 #: Largest B the grid search will consider ((B*xi)^{3/2} must not overflow).
 B_CAP = 1e280
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -91,103 +104,163 @@ def omega_B_prime(params: ModulusParams, xi: float) -> float:
 
 # -- bound functionals ---------------------------------------------------------
 
-_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
-
-
-def _enrich_geometric(points, ratio=10.0):
-    """Insert geometric midpoints into intervals spanning > ratio in scale,
-    so the adaptive rule never faces a many-decade piece at once."""
-    out = [points[0]]
-    for a, b in zip(points[:-1], points[1:]):
-        if a > 0 and b / a > ratio:
-            step = a * ratio
-            while step < b / ratio * (1 + 1e-12):
-                out.append(step)
-                step *= ratio
-        out.append(b)
+def _omega_array(params: ModulusParams, s: np.ndarray) -> np.ndarray:
+    """omega on an array of s >= 0, branch by branch.  numpy's log and log1p
+    may differ from math's in the last ulp, so outputs that must keep their
+    bits (the empirical modulus, B selection) use the scalar `omega`."""
+    de = params.delta_mod
+    out = np.empty_like(s)
+    low = s <= de
+    out[low] = s[low] - s[low] ** 1.5
+    high = ~low
+    out[high] = de - de**1.5 + params.gamma_mod * np.log1p(0.25 * np.log(s[high] / de))
     return out
 
 
-def _quad_pieces(f, points, infinite_tail=False, opts=None):
-    """Integrate f over consecutive [points[i], points[i+1]], summing errors."""
-    from scipy.integrate import quad
-
-    opts = opts or _QUAD_OPTS
-    total, err = 0.0, 0.0
-    points = _enrich_geometric(points)
-    for a, b in zip(points[:-1], points[1:]):
-        if b <= a:
-            continue
-        v, e = quad(f, a, b, **opts)
-        total += v
-        err += e
-    if infinite_tail:
-        v, e = quad(f, points[-1], np.inf, **opts)
-        total += v
-        err += e
-    if not np.isfinite(total):
-        raise QuadratureError("quadrature did not converge to a finite value")
-    return total, err
+def _exp_E1(z: float) -> float:
+    """e^z E1(z) for z >= 4, from the continued fraction
+    E1(z) = e^-z / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...))) by the modified
+    Lentz method; at z >= 4 it reaches rounding within 30 terms."""
+    b = z + 1.0
+    c = math.inf
+    d = h = 1.0 / b
+    for i in range(1, 60):
+        b += 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    return h
 
 
 def Omega_B_with_error(params: ModulusParams, xi: float, opts=None):
-    """Advection bound A (int_0^xi omega_B/eta + xi int_xi^inf omega_B/eta^2)."""
+    """Advection bound A (int_0^xi omega_B/eta + xi int_xi^inf omega_B/eta^2)
+    in closed form.  With x = B xi it is A (int_0^x omega/s + x int_x^inf
+    omega/s^2), whose first integral is elementary and whose second reduces to
+    E1 above the seam:
+        x int_x^inf omega/s^2 = omega(x) + gamma e^z E1(z),  z = 4 + log(x/delta),
+    and below it the elementary part up to delta plus that value at delta.
+    The error returned is 0: there is no quadrature, only rounding.  `opts`
+    (the quadrature targets of `M_B_with_error`) does not apply."""
     if xi <= 0:
         raise DomainError("Omega_B requires xi > 0")
-    seam = params.seam
-
-    def f1(eta):
-        return omega(params, params.B * eta) / eta
-
-    def f2(eta):
-        return omega(params, params.B * eta) / eta**2
-
-    pts1 = [0.0] + ([seam] if 0.0 < seam < xi else []) + [xi]
-    v1, e1 = _quad_pieces(f1, pts1, opts=opts)
-    pts2 = [xi] + ([seam] if seam > xi else [])
-    v2, e2 = _quad_pieces(f2, pts2, infinite_tail=True, opts=opts)
-    return params.A * (v1 + xi * v2), params.A * (e1 + xi * e2)
+    de, ga = params.delta_mod, params.gamma_mod
+    x = params.B * xi
+    c0 = de - de**1.5
+    if x <= de:
+        head = x - (2.0 / 3.0) * x**1.5
+        at_seam = (c0 + ga * _exp_E1(4.0)) / de
+        tail = x * (math.log(de / x) - 2.0 * (math.sqrt(de) - math.sqrt(x)) + at_seam)
+    else:
+        u = math.log(x / de)
+        head = de - (2.0 / 3.0) * de**1.5 + c0 * u + ga * ((4.0 + u) * math.log1p(0.25 * u) - u)
+        tail = omega(params, x) + ga * _exp_E1(4.0 + u)
+    return params.A * (head + tail), 0.0
 
 
 def Omega_B(params: ModulusParams, xi: float) -> float:
     return Omega_B_with_error(params, xi)[0]
 
 
-def _pow32_second(w: float) -> float:
+#: Default targets of the tanh-sinh rule: max(epsabs, epsrel |I|).
+_TOLERANCE = dict(epsabs=1e-11, epsrel=1e-11)
+
+#: The rule's nodes are t = k 2^-level for |t| <= _T_MAX, where the weight
+#: has fallen below 1e-20 of the piece length, from level _LEVELS[0] on.
+_T_MAX = 3.5
+_LEVELS = range(3, 12)
+
+
+def _tanh_sinh(f, points, epsabs, epsrel):
+    """Integral of the array function f over [points[0], points[-1]], split at
+    the points, by the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974):
+    eta = a + (b - a) / (1 + exp(-pi sinh t)) on each piece, trapezoid in t,
+    every piece and node of a level in one call of f.  Each node is formed
+    from its distance to the nearer end, so f is never asked for a point
+    outside [a, b], and nodes near an end at 0 keep their relative precision.
+
+    The step h = 2^-level halves (reusing the nodes so far) until the halving
+    estimate |I_h - I_2h| meets max(epsabs, epsrel |I_h|), or the last level;
+    returns (I_h, |I_h - I_2h|).  Raises QuadratureError on a non-finite sum.
+    """
+    a = np.asarray(points[:-1], dtype=float)
+    b = np.asarray(points[1:], dtype=float)
+    a, b = a[b > a, None], b[b > a, None]
+    span = b - a
+
+    def nodes_sum(t):
+        # c is the node's distance from the nearer end over the length;
+        # 1 - c = e c without cancellation
+        e = np.exp(np.pi * np.sinh(t))
+        c = 1.0 / (1.0 + e)
+        w = span * (np.pi * np.cosh(t) * c * (e * c))
+        d = span * c
+        fx = f(np.concatenate([a + d, b - d]))
+        return float(np.sum(w * (fx[: len(a)] + fx[len(a) :])))
+
+    h = 2.0 ** -_LEVELS[0]
+    total = float(np.sum(0.25 * np.pi * span * f(a + 0.5 * span)))
+    total += nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1))
+    value, estimate = h * total, math.inf
+    for _ in _LEVELS[1:]:
+        h *= 0.5
+        total += nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1, 2))
+        value, estimate = h * total, abs(h * total - value)
+        if not math.isfinite(value):
+            raise QuadratureError("quadrature produced a non-finite value")
+        if estimate <= max(epsabs, epsrel * abs(value)):
+            break
+    return value, estimate
+
+
+def _pow32_second(w):
     """(1+w)^{3/2} + (1-w)^{3/2} - 2 for 0 < w <= 1, cancellation-free:
     with c = 1 - sqrt(1 - w^2) and d = 1 - sqrt(1 - c/2) it equals
     2 (c - d (1 + c)), and both are formed without subtraction."""
-    c = w * w / (1.0 + math.sqrt(1.0 - w * w))
-    d = 0.5 * c / (1.0 + math.sqrt(1.0 - 0.5 * c))
+    c = w * w / (1.0 + np.sqrt(1.0 - w * w))
+    d = 0.5 * c / (1.0 + np.sqrt(1.0 - 0.5 * c))
     return 2.0 * (c - d * (1.0 + c))
 
 
-def _second_diff_s(params: ModulusParams, s: float, u: float) -> float:
+def _second_diff_s(params: ModulusParams, s: float, u: np.ndarray) -> np.ndarray:
     """omega(s+2u) + omega(s-2u) - 2 omega(s) without catastrophic
-    cancellation, for 0 < 2u <= s (arguments in unscaled units)."""
+    cancellation, for an array of 0 < 2u <= s (unscaled units)."""
     de, ga = params.delta_mod, params.gamma_mod
-    if s + 2 * u <= de:
-        # first branch: the linear parts cancel exactly
-        return -(s**1.5) * _pow32_second(2 * u / s)
-    if s - 2 * u >= de:
-        # log-log branch: log1p(a) + log1p(b) - 2 log1p(c) via exact algebra
-        w = 2 * u / s
-        L = math.log(s / de)
-        log_m = math.log1p(-w * w)
-        q = 0.25 * log_m
-        r = (L * log_m + math.log1p(w) * math.log1p(-w)) / 16.0
-        c = 1.0 + 0.25 * L
-        return ga * math.log1p((q + r) / (c * c))
+    out = np.empty_like(u)
+    # first branch: the linear parts cancel exactly
+    first = s + 2 * u <= de
+    out[first] = -(s**1.5) * _pow32_second(2 * u[first] / s)
+    # log-log branch: log1p(a) + log1p(b) - 2 log1p(c) via exact algebra
+    loglog = s - 2 * u >= de
+    w = 2 * u[loglog] / s
+    L = math.log(s / de)
+    log_m = np.log1p(-w * w)
+    q = 0.25 * log_m
+    r = (L * log_m + np.log1p(w) * np.log1p(-w)) / 16.0
+    c = 1.0 + 0.25 * L
+    out[loglog] = ga * np.log1p((q + r) / (c * c))
     # straddling the seam: the corner jump dominates and direct evaluation
     # is accurate where the value matters
-    return omega(params, s + 2 * u) + omega(params, s - 2 * u) - 2.0 * omega(params, s)
+    straddle = ~(first | loglog)
+    us = u[straddle]
+    out[straddle] = (
+        _omega_array(params, s + 2 * us) + _omega_array(params, s - 2 * us) - 2.0 * omega(params, s)
+    )
+    return out
 
 
 def M_B_with_error(params: ModulusParams, xi: float, opts=None):
     """Dissipation bound (negative): the two singular-kernel integrals of the
-    one-dimensional reduction of Lambda along the segment between the pair."""
+    one-dimensional reduction of Lambda along the segment between the pair,
+    by the tanh-sinh rule over pieces split at the kinks of omega_B, plus an
+    analytic tail.  `opts` may set the rule's targets `epsabs` and `epsrel`
+    (other keys are ignored); the error is the sum of the rule's halving
+    estimates and the tail's bound."""
     if xi <= 0:
         raise DomainError("M_B requires xi > 0")
+    tol = {**_TOLERANCE, **(opts or {})}
+    epsabs, epsrel = tol["epsabs"], tol["epsrel"]
     B, seam = params.B, params.seam
     ob_xi = omega_B(params, xi)
 
@@ -203,20 +276,20 @@ def M_B_with_error(params: ModulusParams, xi: float, opts=None):
 
     corner = 0.5 * abs(xi - seam)
     kinks1 = [c for c in (corner,) if 0.0 < c < xi / 2.0]
-    v1, e1 = _quad_pieces(f1, [0.0] + kinks1 + [xi / 2.0], opts=opts)
+    v1, e1 = _tanh_sinh(f1, [0.0] + kinks1 + [xi / 2.0], epsabs, epsrel)
 
     big_t = 100.0 * max(xi, seam, 1.0)
 
     def f2(eta):
         return (
-            omega(params, B * (2 * eta + xi))
-            - omega(params, B * (2 * eta - xi))
+            _omega_array(params, B * (2 * eta + xi))
+            - _omega_array(params, B * (2 * eta - xi))
             - 2.0 * ob_xi
         ) / eta**2
 
     kinks2 = [c for c in ((seam - xi) / 2.0, (seam + xi) / 2.0) if xi / 2.0 < c < big_t]
     pieces = [xi / 2.0] + sorted(set(kinks2)) + [big_t]
-    v2, e2 = _quad_pieces(f2, pieces, opts=opts)
+    v2, e2 = _tanh_sinh(f2, pieces, epsabs, epsrel)
     # analytic tail: the -2 omega_B(xi) part integrates exactly; the increment
     # part is nonnegative and bounded via concavity
     v2 += -2.0 * ob_xi / big_t
@@ -375,7 +448,8 @@ def verify_inequality(
     """Check advection + force + dissipation < 0 on the xi grid.
 
     Passes only when the margin beats the accumulated quadrature error at
-    every grid point.
+    every grid point.  `quad_opts` passes M_B's quadrature targets `epsabs`
+    and `epsrel`.
     """
     if xi_grid is None:
         xi_grid = default_xi_grid(params)
@@ -388,7 +462,7 @@ def verify_inequality(
     for i, xi in enumerate(xi_grid.tolist()):
         ob = omega_B(params, xi)
         obp = omega_B_prime(params, xi)
-        adv, e_adv = Omega_B_with_error(params, xi, opts=quad_opts)
+        adv, e_adv = Omega_B_with_error(params, xi)
         dis, e_dis = M_B_with_error(params, xi, opts=quad_opts)
         frc = F_B(params, xi, f_linf, f_grad)
         rows[i] = (ob, adv * obp, dis, frc, e_adv * obp + e_dis)

@@ -28,7 +28,7 @@ Mean-free fields have fhat(0,0) = 0 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -213,13 +213,22 @@ def mirror(h: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=8)
+def _reflected_index(n: int) -> np.ndarray:
+    """Flat indices into an n x n layout of (-k1, -k2) for the half-spectrum
+    columns k2 = 0..n/2; read-only, since every caller shares it."""
+    idx = (-np.arange(n) % n)[:, None] * n + (-np.arange(n // 2 + 1) % n)
+    idx.setflags(write=False)
+    return idx
+
+
 def real_imag_halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectra of the real and imaginary parts of the complex field with
     full coefficients c (any leading axes): (c + r) / 2 and (c - r) / 2i with
     r = conj(c) at (-k1, -k2).  The imaginary part is exactly zero when c is
     exactly conjugate-symmetric."""
     n = c.shape[-1]
-    r = np.conj(c[..., (-np.arange(n) % n)[:, None], -np.arange(n // 2 + 1) % n])
+    r = np.conj(c.reshape(c.shape[:-2] + (n * n,))[..., _reflected_index(n)])
     c = c[..., : n // 2 + 1]
     return 0.5 * (c + r), -0.5j * (c - r)
 
@@ -305,12 +314,21 @@ def norm_l2(s: SpectralField) -> float:
     return TWO_PI * float(np.sqrt(np.sum(c.real**2 + c.imag**2)))
 
 
+@lru_cache(maxsize=8)
+def _hs_weights(grid: GridSpec, sigma: float) -> np.ndarray:
+    """|k|^{2 sigma}, with the (0, 0) entry 1 for sigma = 0 and 0 otherwise;
+    read-only, since every caller shares it."""
+    with np.errstate(divide="ignore"):
+        w = np.where(grid.kmag > 0, grid.kmag ** (2.0 * sigma), 0.0)
+    if sigma == 0:
+        w[0, 0] = 1.0
+    w.setflags(write=False)
+    return w
+
+
 def norm_hs(s: SpectralField, sigma: float) -> float:
     """Homogeneous Sobolev seminorm (sum |k|^{2 sigma} |fhat|^2)^{1/2} * 2pi."""
-    with np.errstate(divide="ignore"):
-        w = np.where(s.grid.kmag > 0, s.grid.kmag ** (2.0 * sigma), 0.0)
-    if sigma >= 0:
-        w[0, 0] = 0.0 if sigma > 0 else 1.0
+    w = _hs_weights(s.grid, sigma)
     return TWO_PI * float(np.sqrt(np.sum(w * np.abs(s.coeffs) ** 2)))
 
 

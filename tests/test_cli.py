@@ -9,23 +9,43 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqglab import cli, dynamics, errors, sqgf
+from sqglab import cli, dynamics, errors, modulus, sqgf
 from sqglab.cli import main
 from sqglab.config import load_config
 from sqglab.spectral import GridSpec, PhysicalField, meshgrid
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports sqglab from the source tree."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # quadrature and ARPACK are imported by the one function that calls each
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # only ARPACK is imported lazily, by the one function that calls it
     code = (
         "import sys, sqglab.cli; "
         "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+def test_cmd_modulus_leaves_scipy_quadrature_unloaded(tmp_path):
+    # the bound functionals are a closed form and one tanh-sinh rule
+    config = ROOT / "configs" / "modulus_small.ini"
+    argv = ["modulus", "--config", str(config), "--out", str(tmp_path)]
+    code = (
+        f"import sys; from sqglab.cli import main; code = main({argv!r}); "
+        "print(code, [m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
+    )
+    assert run_python(code) == "0 []"
+    assert "pass = true" in (tmp_path / "modulus_summary.txt").read_text()
 
 
 def test_cli_runs_without_complex_ffts(tmp_path, monkeypatch):
@@ -522,6 +542,14 @@ def test_cmd_modulus_infeasible_force(tmp_path):
     out = tmp_path / "o"
     assert main(["modulus", "--config", cfg, "--out", str(out)]) == 1
     assert "infeasible" in (out / "modulus_summary.txt").read_text()
+
+
+def test_cmd_modulus_non_finite_quadrature_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(modulus, "_omega_array", lambda params, s: np.full_like(s, np.nan))
+    with pytest.raises(errors.QuadratureError):
+        modulus.M_B_with_error(modulus.ModulusParams(B=75.0), 0.1)
+    cfg = write_config(tmp_path / "m.ini", MODULUS_SMALL)
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
 def test_cmd_modulus_trajectory(tmp_path):

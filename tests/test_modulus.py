@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqglab import errors
+from sqglab import errors, modulus
 from sqglab.dynamics import EvolutionState, FULL, StepperConfig, evolve, make_steady
 from sqglab.modulus import (
     TORUS_DIAMETER,
@@ -20,7 +20,10 @@ from sqglab.modulus import (
     ModulusParams,
     Omega_B,
     Omega_B_with_error,
+    _exp_E1,
+    _omega_array,
     _pow32_second,
+    _tanh_sinh,
     choose_B,
     default_xi_grid,
     empirical_modulus,
@@ -126,6 +129,32 @@ def test_Omega_B_against_symbolic_and_mpmath_oracle():
         assert abs(got - expect) < 5e-9 * expect
 
 
+def test_exp_E1_matches_mpmath():
+    # e^z E1(z) over the arguments Omega_B uses: z = 4 + log(B xi / delta)
+    with mp.workdps(30):
+        for z in np.geomspace(4.0, 750.0, 300).tolist():
+            ref = mp.e1(z) * mp.exp(z)
+            assert abs(_exp_E1(z) - ref) <= 1e-14 * ref, z
+
+
+def test_Omega_B_above_seam_against_mpmath_oracle():
+    p = ModulusParams(delta_mod=1e-2, gamma_mod=1e-2, B=2.0, A=1.0)
+    for xi in (6e-3, 0.05, 1.0, p.d):
+        assert xi > p.seam
+        with mp.workdps(30):
+            j1 = mp.quad(lambda e: mp_omega_B(p, e) / e, [0, p.seam, xi])
+            j2 = mp.quad(lambda e: mp_omega_B(p, e) / e**2, [xi, 10 * xi, mp.inf])
+            expect = float(p.A * (j1 + xi * j2))
+        assert abs(Omega_B(p, xi) - expect) < 1e-13 * expect, xi
+
+
+def test_Omega_B_continuous_across_seam():
+    for B in (2.0, 86.73617379884035, 1e6):
+        p = ModulusParams(delta_mod=1e-2, gamma_mod=1e-2, B=B)
+        below, above = Omega_B(p, p.seam * (1 - 1e-12)), Omega_B(p, p.seam * (1 + 1e-12))
+        assert below < above < below * (1 + 1e-10)
+
+
 def test_Omega_B_monotone_and_linear_in_A():
     p = DEFAULTS
     xi = np.geomspace(1e-4, p.d, 24)
@@ -147,6 +176,32 @@ def test_pow32_second_matches_mpmath():
             x = mp.mpf(w)
             ref = (1 + x) ** mp.mpf(1.5) + (1 - x) ** mp.mpf(1.5) - 2
             assert abs(_pow32_second(w) - ref) <= 1e-15 * ref, w
+
+
+def test_omega_array_matches_scalar_omega():
+    # numpy's log/log1p may differ from math's in the last bits
+    p = ModulusParams(delta_mod=1e-2, gamma_mod=5e-3, B=1.0)
+    s = np.concatenate([np.geomspace(1e-9, 1e4, 2001), [p.delta_mod]])
+    scalar = np.array([omega(p, x) for x in s.tolist()])
+    assert np.all(np.abs(_omega_array(p, s) - scalar) <= 4 * np.spacing(scalar))
+    assert np.any(s <= p.delta_mod) and np.any(s > p.delta_mod)
+
+
+def test_tanh_sinh_rule_error_within_its_estimate():
+    eps = np.finfo(float).eps  # the estimate cannot see rounding
+
+    def kinked(w):
+        return np.abs(w - 1.0 / 3.0)
+
+    # algebraic end behaviour, as at the end of M_B's first integral
+    value, est = _tanh_sinh(lambda w: (1.0 - w) ** 1.5, [0.0, 1.0], 1e-11, 1e-11)
+    assert abs(value - 0.4) <= est + 4 * eps and est <= 1e-11
+    # a kink at a piece end converges to the target; inside a piece the rule
+    # stops at its last level, and its estimate still bounds the error
+    value, est = _tanh_sinh(kinked, [0.0, 1.0 / 3.0, 1.0], 1e-11, 1e-11)
+    assert abs(value - 5.0 / 18.0) <= est + 4 * eps and est <= 1e-11
+    value, est = _tanh_sinh(kinked, [0.0, 1.0], 1e-11, 1e-11)
+    assert 1e-11 < abs(value - 5.0 / 18.0) <= est
 
 
 def mp_omega_B_second(p, xi):
