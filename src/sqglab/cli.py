@@ -65,15 +65,13 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_series(path: Path, series: dict) -> None:
+    """A CSV with the keys as its header and one row per index of the
+    columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(series) + "\n")
+        for row in zip(*series.values()):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_series(path: Path, series: dict[str, np.ndarray]) -> None:
-    _write_csv(path, list(series), zip(*series.values()))
 
 
 def _series_name(epsilon: float) -> str:
@@ -167,11 +165,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     res = _build_spectrum(cfg, steady)
     out.mkdir(parents=True, exist_ok=True)
     order = np.lexsort((-res.eigenvalues.imag, -res.eigenvalues.real))
-    _write_csv(
-        out / "spectrum.csv",
-        ["re", "im"],
-        ((w.real, w.imag) for w in res.eigenvalues[order]),
-    )
+    eigenvalues = res.eigenvalues[order]
+    _write_series(out / "spectrum.csv", {"re": eigenvalues.real, "im": eigenvalues.imag})
     g = steady.grid
     phi_re, phi_im = half_values(np.stack(real_imag_halves(res.eigenfunction.coeffs)), g.n)
     _write_field(out / "phi_re.sqgf", g, phi_re)
@@ -240,13 +235,10 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for rec in report.records:
         _write_series(out / _series_name(rec.epsilon), rec.series)
-    _write_csv(
+    columns = ("epsilon", "lambda_hat", "escape_time", "escape_norm", "max_grad_linf")
+    _write_series(
         out / "sweep.csv",
-        ["epsilon", "lambda_hat", "escape_time", "escape_norm", "max_grad_linf"],
-        (
-            (r.epsilon, r.lambda_hat, r.escape_time, r.escape_norm, r.max_grad_linf)
-            for r in report.records
-        ),
+        {name: [getattr(r, name) for r in report.records] for name in columns},
     )
     rel_gap = abs(report.slope - 1.0 / lam) * lam
     _write_text(
@@ -295,20 +287,16 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
         return 1
     params = base.with_B(sel.B)
     report = verify_inequality(params, f_norms)
-    _write_csv(
+    _write_series(
         out / "verification.csv",
-        ["xi", "omega_B", "Omega_B", "M_B", "F_B", "lhs"],
-        (
-            (
-                report.xi_grid[i],
-                report.omega_vals[i],
-                report.advection[i],
-                report.dissipation[i],
-                report.force[i],
-                report.lhs[i],
-            )
-            for i in range(report.xi_grid.size)
-        ),
+        {
+            "xi": report.xi_grid,
+            "omega_B": report.omega_vals,
+            "Omega_B": report.advection,
+            "M_B": report.dissipation,
+            "F_B": report.force,
+            "lhs": report.lhs,
+        },
     )
     # the gate requires both the verified inequality and a negative
     # long-range regime coefficient A*gamma + 1/(2pi) - 1/pi
@@ -328,27 +316,27 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
         spectrum = _build_spectrum(cfg, steady)
         exp = _experiment(cfg, steady, spectrum, threshold=math.inf, t_max=cfg.time.t_max)
         g = steady.grid
-        ratios = []
+        traj = {"t": [], "modulus_ratio": []}
 
         def watch(t, full_coeffs):
-            r = empirical_modulus(
-                SpectralField(g, full_coeffs), params, seed=use_seed
+            traj["t"].append(t)
+            traj["modulus_ratio"].append(
+                empirical_modulus(SpectralField(g, full_coeffs), params, seed=use_seed)
             )
-            ratios.append((t, r))
 
         run_perturbation(exp, exp.epsilons[0], field_observer=watch)
-        _write_csv(out / "trajectory.csv", ["t", "modulus_ratio"], ratios)
-        worst = max(r for _, r in ratios)
+        _write_series(out / "trajectory.csv", traj)
+        worst = max(traj["modulus_ratio"])
         lines.append(f"trajectory_max_ratio = {_fmt(worst)}")
         lines.append(f"trajectory_pass = {'true' if worst < 1.0 else 'false'}")
         if worst >= 1.0:
             code = 1
-        print(f"trajectory modulus ratio max {worst:.4f} over {len(ratios)} records")
+        print(f"trajectory modulus ratio max {worst:.4f} over {len(traj['t'])} records")
 
     _write_text(out / "modulus_summary.txt", lines)
     print(
         f"B = {sel.B:.6g}, max lhs = {report.max_lhs:.4e} "
-        f"({'pass' if report.passed else 'fail'})"
+        f"({'pass' if gate else 'fail'})"
     )
     return code
 

@@ -12,7 +12,8 @@ Note the log-log growth: in double precision omega_B(d) cannot exceed roughly
 max_{delta,gamma} [delta - delta^{3/2} + gamma log(1 + 178)], about 1.3, no
 matter how large B is taken.  Force and oscillation scales beyond that are
 genuinely out of reach of this modulus family (the B-selection reports the
-gap rather than silently failing).
+gap rather than silently failing).  omega, its derivative, omega_B and the
+force bound F_B take a float or an array of points.
 
 The bound functionals are Kiselev-Nazarov-Volberg's (Invent. Math. 167,
 2007).  The advection bound Omega_B is in closed form: its head integral is
@@ -79,43 +80,39 @@ class ModulusParams:
 
 # -- the modulus and its derivatives ------------------------------------------
 
-def omega(params: ModulusParams, s: float) -> float:
-    """Unscaled modulus omega(s) of a float s >= 0."""
+def omega(params: ModulusParams, s):
+    """Unscaled modulus omega(s) of s >= 0, a float or an array.  Each branch
+    is evaluated on its own points only."""
     de = params.delta_mod
-    if s <= de:
-        return s - s**1.5
-    return de - de**1.5 + params.gamma_mod * math.log1p(0.25 * math.log(s / de))
-
-
-def _omega_prime(params: ModulusParams, s: float) -> float:
-    de = params.delta_mod
-    if s <= de:
-        return 1.0 - 1.5 * math.sqrt(s)
-    return params.gamma_mod / (4.0 * s * (1.0 + 0.25 * math.log(s / de)))
-
-
-def omega_B(params: ModulusParams, xi: float) -> float:
-    return omega(params, params.B * xi)
-
-
-def omega_B_prime(params: ModulusParams, xi: float) -> float:
-    return params.B * _omega_prime(params, params.B * xi)
-
-
-# -- bound functionals ---------------------------------------------------------
-
-def _omega_array(params: ModulusParams, s: np.ndarray) -> np.ndarray:
-    """omega on an array of s >= 0, branch by branch.  numpy's log and log1p
-    may differ from math's in the last ulp, so outputs that must keep their
-    bits (the empirical modulus, B selection) use the scalar `omega`."""
-    de = params.delta_mod
+    s = np.asarray(s, dtype=float)
     out = np.empty_like(s)
     low = s <= de
     out[low] = s[low] - s[low] ** 1.5
     high = ~low
     out[high] = de - de**1.5 + params.gamma_mod * np.log1p(0.25 * np.log(s[high] / de))
-    return out
+    return out[()]
 
+
+def _omega_prime(params: ModulusParams, s):
+    de = params.delta_mod
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    low = s <= de
+    out[low] = 1.0 - 1.5 * np.sqrt(s[low])
+    high = ~low
+    out[high] = params.gamma_mod / (4.0 * s[high] * (1.0 + 0.25 * np.log(s[high] / de)))
+    return out[()]
+
+
+def omega_B(params: ModulusParams, xi):
+    return omega(params, params.B * xi)
+
+
+def omega_B_prime(params: ModulusParams, xi):
+    return params.B * _omega_prime(params, params.B * xi)
+
+
+# -- bound functionals ---------------------------------------------------------
 
 def _exp_E1(z: float) -> float:
     """e^z E1(z) for z >= 4, from the continued fraction
@@ -245,7 +242,7 @@ def _second_diff_s(params: ModulusParams, s: float, u: np.ndarray) -> np.ndarray
     straddle = ~(first | loglog)
     us = u[straddle]
     out[straddle] = (
-        _omega_array(params, s + 2 * us) + _omega_array(params, s - 2 * us) - 2.0 * omega(params, s)
+        omega(params, s + 2 * us) + omega(params, s - 2 * us) - 2.0 * omega(params, s)
     )
     return out
 
@@ -282,8 +279,8 @@ def M_B_with_error(params: ModulusParams, xi: float, opts=None):
 
     def f2(eta):
         return (
-            _omega_array(params, B * (2 * eta + xi))
-            - _omega_array(params, B * (2 * eta - xi))
+            omega(params, B * (2 * eta + xi))
+            - omega(params, B * (2 * eta - xi))
             - 2.0 * ob_xi
         ) / eta**2
 
@@ -304,13 +301,12 @@ def M_B(params: ModulusParams, xi: float) -> float:
     return M_B_with_error(params, xi)[0]
 
 
-def F_B(params: ModulusParams, xi: float, f_linf: float, grad_f_linf: float) -> float:
-    """Force bound: mean value theorem below the seam, 2||f|| beyond it."""
-    if xi < 0 or f_linf < 0 or grad_f_linf < 0:
+def F_B(params: ModulusParams, xi, f_linf: float, grad_f_linf: float):
+    """Force bound at xi, a float or an array: mean value theorem below the
+    seam, 2||f|| beyond it."""
+    if np.any(xi < 0) or f_linf < 0 or grad_f_linf < 0:
         raise DomainError("F_B requires nonnegative xi and norms")
-    if xi <= params.seam:
-        return xi * grad_f_linf
-    return 2.0 * f_linf
+    return np.where(xi <= params.seam, xi * grad_f_linf, 2.0 * f_linf)[()]
 
 
 # -- B selection ----------------------------------------------------------------
@@ -458,16 +454,17 @@ def verify_inequality(
         raise DomainError("xi grid must lie in (0, d]")
     f_linf, f_grad = f_norms
 
-    rows = np.empty((xi_grid.size, 5))
-    for i, xi in enumerate(xi_grid.tolist()):
-        ob = omega_B(params, xi)
-        obp = omega_B_prime(params, xi)
-        adv, e_adv = Omega_B_with_error(params, xi)
-        dis, e_dis = M_B_with_error(params, xi, opts=quad_opts)
-        frc = F_B(params, xi, f_linf, f_grad)
-        rows[i] = (ob, adv * obp, dis, frc, e_adv * obp + e_dis)
-    lhs = rows[:, 1] + rows[:, 2] + rows[:, 3]
-    errs = rows[:, 4]
+    # Omega_B and M_B are per point: E1's continued fraction stops per
+    # argument and the tanh-sinh rule refines per point
+    adv, e_adv, dis, e_dis = np.array(
+        [Omega_B_with_error(params, xi) + M_B_with_error(params, xi, opts=quad_opts)
+         for xi in xi_grid.tolist()]
+    ).reshape(-1, 4).T
+    obp = omega_B_prime(params, xi_grid)
+    advection = adv * obp
+    force = F_B(params, xi_grid, f_linf, f_grad)
+    lhs = advection + dis + force
+    errs = e_adv * obp + e_dis
     finite = np.isfinite(lhs)
     max_lhs = float(np.max(lhs[finite])) if np.any(finite) else -np.inf
     passed = bool(np.all(np.where(finite, lhs + errs, -np.inf) < 0.0))
@@ -485,10 +482,10 @@ def verify_inequality(
 
     return VerificationReport(
         xi_grid=xi_grid,
-        omega_vals=rows[:, 0],
-        advection=rows[:, 1],
-        dissipation=rows[:, 2],
-        force=rows[:, 3],
+        omega_vals=omega_B(params, xi_grid),
+        advection=advection,
+        dissipation=dis,
+        force=force,
         lhs=lhs,
         quad_errors=errs,
         max_lhs=max_lhs,
@@ -517,16 +514,11 @@ def empirical_modulus(
     g = theta.grid
     v = inverse(theta).values
     dx = g.dx
-    worst = 0.0
-    for o1 in range(0, max_offset + 1):
-        for o2 in range(-max_offset, max_offset + 1):
-            if o1 == 0 and o2 <= 0:
-                continue
-            dist = math.hypot(o1, o2) * dx
-            if dist > max_offset * dx:
-                continue
-            diff = float(np.max(np.abs(v - np.roll(v, (-o1, -o2), axis=(0, 1)))))
-            worst = max(worst, diff / omega_B(params, dist))
+    o1, o2 = np.mgrid[0 : max_offset + 1, -max_offset : max_offset + 1].reshape(2, -1)
+    near = ((o1 > 0) | (o2 > 0)) & (o1 * o1 + o2 * o2 <= max_offset**2)
+    o1, o2 = o1[near], o2[near]
+    diffs = [np.max(np.abs(v - np.roll(v, o, axis=(0, 1)))) for o in zip(-o1, -o2)]
+    short = np.array(diffs) / omega_B(params, np.hypot(o1, o2) * dx)
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 2 * g.n, size=(4, n_random_pairs))
@@ -534,10 +526,5 @@ def empirical_modulus(
     keep = sep > 0
     va = v[idx[0][keep] % g.n, idx[1][keep] % g.n]
     vb = v[idx[2][keep] % g.n, idx[3][keep] % g.n]
-    # the pairs take a few thousand distinct separations: one omega_B each
-    dists, which = np.unique(sep[keep], return_inverse=True)
-    om = np.array([omega_B(params, d) for d in dists.tolist()])
-    ratios = np.abs(va - vb) / om[which]
-    if ratios.size:
-        worst = max(worst, float(np.max(ratios)))
-    return worst
+    ratios = np.abs(va - vb) / omega_B(params, sep[keep])
+    return float(max(np.max(short, initial=0.0), np.max(ratios, initial=0.0)))

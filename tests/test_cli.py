@@ -525,14 +525,19 @@ def test_cmd_modulus_default_passes(tmp_path):
     assert "pass = true" in (out / "modulus_summary.txt").read_text()
 
 
-def test_cmd_modulus_gamma_coefficient_fails(tmp_path):
+def test_cmd_modulus_gamma_coefficient_fails(tmp_path, capsys):
+    # the inequality holds on the grid, but the long-range coefficient
+    # A gamma + 1/(2 pi) - 1/pi is positive: the gate, and its verdict, fail
     cfg = write_config(
         tmp_path / "m.ini",
         MODULUS_SMALL.replace("gamma_mod = 0.01", "gamma_mod = 0.2").replace(
             "delta_mod = 0.01", "delta_mod = 0.25"
         ),
     )
-    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main(["modulus", "--config", cfg, "--out", str(out)]) == 1
+    assert "pass = false" in (out / "modulus_summary.txt").read_text()
+    assert capsys.readouterr().out.splitlines()[-1].endswith("(fail)")
 
 
 def test_cmd_modulus_infeasible_force(tmp_path):
@@ -545,21 +550,36 @@ def test_cmd_modulus_infeasible_force(tmp_path):
 
 
 def test_cmd_modulus_non_finite_quadrature_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(modulus, "_omega_array", lambda params, s: np.full_like(s, np.nan))
+    # a NaN in M_B's integrand only: B selection and Omega_B stay finite
+    monkeypatch.setattr(modulus, "_second_diff_s", lambda params, s, u: np.full_like(u, np.nan))
     with pytest.raises(errors.QuadratureError):
         modulus.M_B_with_error(modulus.ModulusParams(B=75.0), 0.1)
     cfg = write_config(tmp_path / "m.ini", MODULUS_SMALL)
     assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+MODULUS_TRAJECTORY = (
+    MODULUS_SMALL
+    + "[time]\nt_max = 1.0\nobserve_every = 0.25\n"
+    + "[experiment]\nepsilons = 1e-3\n[spectrum]\nk = 12\n"
+)
+
+
 def test_cmd_modulus_trajectory(tmp_path):
-    cfg = write_config(
-        tmp_path / "m.ini",
-        MODULUS_SMALL
-        + "[time]\nt_max = 1.0\nobserve_every = 0.25\n"
-        + "[experiment]\nepsilons = 1e-3\n[spectrum]\nk = 12\n",
-    )
+    cfg = write_config(tmp_path / "m.ini", MODULUS_TRAJECTORY)
     out = tmp_path / "o"
     assert main(["modulus", "--config", cfg, "--out", str(out), "--trajectory"]) == 0
     rows = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
     assert np.all(rows["modulus_ratio"] < 1.0)
+
+
+def test_cmd_modulus_deterministic(tmp_path):
+    cfg = write_config(tmp_path / "m.ini", MODULUS_TRAJECTORY)
+    names = ("verification.csv", "trajectory.csv", "modulus_summary.txt")
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        argv = ["modulus", "--config", cfg, "--out", str(out), "--trajectory", "--seed", "5"]
+        assert main(argv) == 0
+        outs.append([(out / name).read_bytes() for name in names])
+    assert outs[0] == outs[1]

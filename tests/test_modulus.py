@@ -21,7 +21,6 @@ from sqglab.modulus import (
     Omega_B,
     Omega_B_with_error,
     _exp_E1,
-    _omega_array,
     _pow32_second,
     _tanh_sinh,
     choose_B,
@@ -50,6 +49,14 @@ def mp_omega_B(params, xi):
     if s <= de:
         return s - s ** mp.mpf(1.5)
     return de - de ** mp.mpf(1.5) + params.gamma_mod * mp.log(1 + mp.log(s / de) / 4)
+
+
+def mp_omega_B_prime(params, xi):
+    s = mp.mpf(params.B) * mp.mpf(xi)
+    de = mp.mpf(params.delta_mod)
+    if s <= de:
+        return params.B * (1 - mp.mpf(1.5) * mp.sqrt(s))
+    return params.B * params.gamma_mod / (4 * s * (1 + mp.log(s / de) / 4))
 
 
 # -- modulus shape -------------------------------------------------------------
@@ -178,13 +185,17 @@ def test_pow32_second_matches_mpmath():
             assert abs(_pow32_second(w) - ref) <= 1e-15 * ref, w
 
 
-def test_omega_array_matches_scalar_omega():
-    # numpy's log/log1p may differ from math's in the last bits
+def test_omega_on_array_matches_mpmath():
+    # one array across both branches, the seam included, in value and slope
     p = ModulusParams(delta_mod=1e-2, gamma_mod=5e-3, B=1.0)
     s = np.concatenate([np.geomspace(1e-9, 1e4, 2001), [p.delta_mod]])
-    scalar = np.array([omega(p, x) for x in s.tolist()])
-    assert np.all(np.abs(_omega_array(p, s) - scalar) <= 4 * np.spacing(scalar))
     assert np.any(s <= p.delta_mod) and np.any(s > p.delta_mod)
+    with mp.workdps(30):
+        ref = np.array([float(mp_omega_B(p, x)) for x in s.tolist()])
+        ref_prime = np.array([float(mp_omega_B_prime(p, x)) for x in s.tolist()])
+    assert np.all(np.abs(omega(p, s) - ref) <= 4 * np.spacing(ref))
+    assert np.all(np.abs(omega_B_prime(p, s) - ref_prime) <= 4 * np.spacing(ref_prime))
+    assert isinstance(omega(p, 0.5), float) and isinstance(omega_B_prime(p, 0.5), float)
 
 
 def test_tanh_sinh_rule_error_within_its_estimate():

@@ -1,0 +1,80 @@
+"""The names and call signatures of sqglab that the benchmark harness in
+perfbench/ relies on.  The tracer skips a name it cannot find without a word,
+so a rename would silently drop a per-layer span; a probe whose call no
+longer fits its function would fail only when the benchmark runs."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_by_path(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_spanned_names_exist():
+    tracer = load_by_path("tracer")
+    missing = [
+        f"{modname}.{fname}"
+        for modname, names in tracer.SPANNED.items()
+        for fname in names
+        if not callable(getattr(importlib.import_module(modname), fname, None))
+    ]
+    assert missing == []
+    # the tracer counts the modulus omega(params, s) by name
+    modulus = importlib.import_module("sqglab.modulus")
+    inspect.signature(modulus.omega).bind("params", "s")
+
+
+def sqglab_uses(tree):
+    """(module, attribute, call or None) for each `module.attribute` of a
+    sqglab module imported as `from sqglab import module`."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "sqglab"
+        for alias in node.names
+    }
+    calls = {
+        id(node.func): node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            yield node.value.id, node.attr, calls.get(id(node))
+
+
+def test_probe_calls_fit_their_signatures():
+    tree = ast.parse((PERFBENCH / "probes.py").read_text(encoding="utf-8"))
+    uses = list(sqglab_uses(tree))
+    assert {(m, a) for m, a, _ in uses} >= {
+        ("modulus", "Omega_B_with_error"),
+        ("modulus", "M_B_with_error"),
+        ("modulus", "verify_inequality"),
+        ("modulus", "empirical_modulus"),
+        ("modulus", "choose_B"),
+    }
+    for modname, attr, call in uses:
+        obj = getattr(importlib.import_module(f"sqglab.{modname}"), attr, None)
+        assert obj is not None, f"{modname}.{attr} is gone"
+        if call is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        where = f"{modname}.{attr} at probes.py line {call.lineno}"
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
