@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .growth import ExperimentConfig, check_epsilons, epsilon_sweep, run_perturbation
-from .linop import LinearOperator, SpectrumResult, dense_dimension, rightmost_eigenpair
+from .linop import LinearOperator, SpectrumResult, check_dense_cap, rightmost_eigenpair
 from .modulus import (
     ModulusParams,
     choose_B,
@@ -379,7 +379,10 @@ def main(argv=None) -> int:
         if cfg.spectrum.method == "dense" and (
             args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
         ):
-            dense_dimension(cfg.spectrum.K or GridSpec(cfg.grid.n).dealias_radius)
+            # a shear is x1-invariant, so its largest block is one k1 chain; a
+            # custom-file state is known only once read: it counts as one block of M
+            w = 2 * (cfg.spectrum.K or GridSpec(cfg.grid.n).dealias_radius) + 1
+            check_dense_cap(w if cfg.steady.kind == "shear" else w**2 - 1)
         if args.command == "steady":
             return cmd_steady(cfg, out)
         if args.command == "spectrum":

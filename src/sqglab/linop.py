@@ -9,10 +9,12 @@ is therefore an exact representation of the implemented operator on the
 retained modes, so eigenpair residuals are limited only by the eigensolver
 arithmetic.  When theta0 does not depend on x1 (no coefficient off k1 = 0),
 L commutes with x1-translations and keeps k1: the dense section is then
-assembled a k2 column at a time and eigensolved block by block in k1, the
-Fourier-chain structure of Meshalkin & Sinai.  Grids too large to assemble
-use ARPACK on the matrix-free propagator e^{tau (L - shift)} instead, over
-the same mode index.
+assembled a k2 column at a time, held as its 2K + 1 diagonal k1-blocks of
+size at most 2K + 1 (a `DenseSection`; the M x M matrix is never formed) and
+eigensolved block by block in k1, the Fourier-chain structure of Meshalkin &
+Sinai.  Otherwise the section is one block of size M.  The dense cap bounds
+the largest block.  Grids too large to assemble use ARPACK on the
+matrix-free propagator e^{tau (L - shift)} instead, over the same mode index.
 
 The kernel and the step work on half-spectra of real fields.  L is real, so
 a complex field (basis probe, ARPACK vector, eigenfunction) goes through them
@@ -112,12 +114,10 @@ def mode_index(grid: GridSpec, K: int) -> tuple[np.ndarray, np.ndarray]:
     return k[:, 0], k[:, 1]
 
 
-def dense_dimension(K: int, cap: int = DENSE_CAP_DEFAULT) -> int:
-    """Size of the dense section at truncation K; ResourceError above cap."""
-    M = (2 * K + 1) ** 2 - 1
-    if M > cap:
-        raise ResourceError(f"dense dimension {M} exceeds cap {cap}")
-    return M
+def check_dense_cap(width: int, cap: int = DENSE_CAP_DEFAULT) -> None:
+    """ResourceError when the largest dense block, of size width, exceeds cap."""
+    if width > cap:
+        raise ResourceError(f"dense block size {width} exceeds cap {cap}")
 
 
 def _blocks(op: LinearOperator, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +131,27 @@ def _blocks(op: LinearOperator, K: int) -> tuple[np.ndarray, np.ndarray]:
     return k1, k2 + K
 
 
-def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+@dataclass
+class DenseSection:
+    """The dense section as its diagonal blocks in mode order: k1 = -K, ..., K
+    for an x1-invariant theta0, else one block of size M.  Entries between
+    different blocks are exact zeros."""
+
+    blocks: list[np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        M = sum(len(b) for b in self.blocks)
+        return M, M
+
+    def toarray(self) -> np.ndarray:
+        """The full M x M matrix."""
+        from scipy.linalg import block_diag
+
+        return block_diag(*self.blocks)
+
+
+def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> DenseSection:
     """Finite section of L - shift on span{e^{ik.x} : 0 < max|k_i| <= K}.
 
     Column j holds the coefficients of (L - shift) e^{ik_j.x} restricted to
@@ -139,28 +159,32 @@ def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> 
     basis fields.  For a steady state independent of x1 one basis field per
     k2 column sets every k1 of that column: L keeps k1, so the image in row
     k1 is the column of mode (k1, k2), 2K + 1 kernel applications in all, and
-    entries between different k1 are exact zeros.  Otherwise each basis field
-    is one mode, M applications.
+    the section is 2K + 1 blocks, one per k1, of size at most 2K + 1.
+    Otherwise each basis field is one mode, M applications into one block.
+    ResourceError when the largest block exceeds cap.
     """
     g = op.grid
     if K > g.dealias_radius:
         raise ResolutionError(
             f"truncation K={K} exceeds the alias-free radius n/3={g.dealias_radius}"
         )
-    M = dense_dimension(K, cap)
     rows, cols = mode_index(g, K)
     block, probe = _blocks(op, K)
-    A = np.zeros((M, M), dtype=np.complex128)
-    n_probes, chunk = int(probe.max(initial=-1)) + 1, 32
+    # modes are ordered by k1: each block is a contiguous run of modes
+    segments = np.split(np.arange(block.size), np.flatnonzero(np.diff(block)) + 1)
+    check_dense_cap(max(s.size for s in segments), cap)
+    blocks = [np.zeros((s.size, s.size), dtype=np.complex128) for s in segments]
+    n_probes, chunk = int(probe.max(initial=-1)) + 1, 8
     for start in range(0, n_probes, chunk):
         stop = min(start + chunk, n_probes)
         j = np.flatnonzero((probe >= start) & (probe < stop))
         basis = np.zeros((stop - start, g.n, g.n), dtype=np.complex128)
         basis[probe[j] - start, rows[j], cols[j]] = 1.0
         out = _apply(op, basis)
-        i, jj = np.nonzero(block[:, None] == block[j])
-        A[i, j[jj]] = out[probe[j[jj]] - start, rows[i], cols[i]]
-    return A
+        for s, b in zip(segments, blocks):
+            in_chunk = (probe[s] >= start) & (probe[s] < stop)
+            b[:, in_chunk] = out[probe[s[in_chunk]] - start, rows[s, None], cols[s, None]]
+    return DenseSection(blocks)
 
 
 @dataclass
@@ -216,17 +240,20 @@ def rightmost_eigenpair(
     """Rightmost eigenpair of L - shift by dense solve on the truncation K, or
     (method "power") by ARPACK on e^{tau_pow (L - shift)} over all alias-free
     modes from a seeded random start of band K; tol bounds its relative
-    propagator residual and max_iter its restarts.
+    propagator residual and max_iter its restarts.  cap bounds the largest
+    block of the dense section (`assemble_dense`): 2K + 1 when theta0 is
+    independent of x1, M = (2K + 1)^2 - 1 otherwise.
 
     The dense solve works block by block when theta0 is independent of x1: it
-    eigensolves the k1 = 0, 1, ..., K blocks, appends the conjugate spectrum
-    of each k1 > 0 block for k1 < 0, and takes phi from the block holding the
-    eigenvalue of largest real part, ties within 1e-12 max(1, |mu|) going to
-    the smaller k1.  For a shear state phi thus lives on one k1 >= 0.  When mu
-    is repeated in that block (eigenvalues within the same tolerance), phi is
-    the projection onto its eigenspace of the first mode whose projection
-    weight is within 1e-6 of the largest, so it does not depend on which
-    basis of the eigenspace the eigensolver returns."""
+    eigensolves the k1 = 0, 1, ..., K blocks of the section, appends the
+    conjugate spectrum of each k1 > 0 block for k1 < 0, and takes phi from the
+    block holding the eigenvalue of largest real part, ties within
+    1e-12 max(1, |mu|) going to the smaller k1.  For a shear state phi thus
+    lives on one k1 >= 0.  When mu is repeated in that block (eigenvalues
+    within the same tolerance), phi is the projection onto its eigenspace of
+    the first mode whose projection weight is within 1e-6 of the largest, so
+    it does not depend on which basis of the eigenspace the eigensolver
+    returns."""
     K = op.grid.dealias_radius if K is None else K
     if method == "dense":
         return _rightmost_dense(op, K, cap)
@@ -255,22 +282,21 @@ def _result(op, K, index, w, mu, vec, method, **extra) -> SpectrumResult:
 
 
 def _rightmost_dense(op: LinearOperator, K: int, cap: int) -> SpectrumResult:
-    A = assemble_dense(op, K, cap=cap)
-    block, _ = _blocks(op, K)
+    blocks = assemble_dense(op, K, cap=cap).blocks
+    ends = np.cumsum([len(b) for b in blocks])
+    mid = len(blocks) // 2  # the k1 = 0 block: blocks run over k1 = -K..K, or are one
     spectra, best = [], None
-    for k1 in range(int(block.max(initial=0)) + 1):
-        b = np.flatnonzero(block == k1)
-        s = slice(b[0], b[-1] + 1)  # modes are ordered by k1: blocks are contiguous
-        w, V = np.linalg.eig(A[s, s])
-        spectra += [w, w.conj()] if k1 > 0 else [w]
+    for i in range(mid, len(blocks)):
+        w, V = np.linalg.eig(blocks[i])
+        spectra += [w, w.conj()] if i > mid else [w]
         top = _rightmost_index(w)
         if best is None or w[top].real > best[0].real + 1e-12 * max(1.0, abs(best[0])):
-            best = w[top], s, w, V
+            best = w[top], slice(ends[i] - len(w), ends[i]), w, V
     mu, s, w, V = best
     Q, _ = np.linalg.qr(V[:, np.abs(w - mu) <= 1e-12 * max(1.0, abs(mu))])
     weight = np.sum(np.abs(Q) ** 2, axis=1)
     j = int(np.argmax(weight >= (1.0 - 1e-6) * weight.max()))
-    vec = np.zeros(A.shape[0], dtype=np.complex128)
+    vec = np.zeros(ends[-1], dtype=np.complex128)
     vec[s] = Q @ Q[j].conj()
     return _result(op, K, mode_index(op.grid, K), np.concatenate(spectra), mu, vec, "dense")
 

@@ -131,15 +131,14 @@ def _exp_E1(z: float) -> float:
     return h
 
 
-def Omega_B_with_error(params: ModulusParams, xi: float, opts=None):
+def Omega_B_with_error(params: ModulusParams, xi: float):
     """Advection bound A (int_0^xi omega_B/eta + xi int_xi^inf omega_B/eta^2)
     in closed form.  With x = B xi it is A (int_0^x omega/s + x int_x^inf
     omega/s^2), whose first integral is elementary and whose second reduces to
     E1 above the seam:
         x int_x^inf omega/s^2 = omega(x) + gamma e^z E1(z),  z = 4 + log(x/delta),
     and below it the elementary part up to delta plus that value at delta.
-    The error returned is 0: there is no quadrature, only rounding.  `opts`
-    (the quadrature targets of `M_B_with_error`) does not apply."""
+    The error returned is 0: there is no quadrature, only rounding."""
     if xi <= 0:
         raise DomainError("Omega_B requires xi > 0")
     de, ga = params.delta_mod, params.gamma_mod

@@ -333,13 +333,22 @@ def test_cmd_jobs_clamped_to_epsilons(tmp_path, monkeypatch):
     assert seen == [4]
 
 
-def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path):
-    # n = 108 without [spectrum] k: K = 36, dense dimension 5328 > 5000
-    cfg = write_config(tmp_path / "m.ini", MODULUS_SMALL.replace("n = 64", "n = 108"))
+def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path, capsys):
+    # a custom-file state at n = 108 without [spectrum] k: K = 36, and the
+    # state is checked as one block of the dense dimension 5328 > 5000
+    g = GridSpec(108)
+    x1, x2 = meshgrid(g)
+    field = tmp_path / "theta0.sqgf"
+    sqgf.write_field(field, PhysicalField(g, -10.0 * np.cos(2 * x2) + np.cos(x1)))
+    text = MODULUS_SMALL.replace("n = 64", "n = 108").replace(
+        "kind = shear\nm = 1\namplitude = 2e-4", f"kind = custom-file\nfile = {field}"
+    )
+    cfg = write_config(tmp_path / "m.ini", text)
     for args in (["spectrum"], ["instability"], ["modulus", "--trajectory"]):
         out = tmp_path / "o"
         assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 2
         assert not out.exists()
+        assert "exceeds cap 5000" in capsys.readouterr().err
 
 
 def test_cmd_spectrum_zero_state(tmp_path):

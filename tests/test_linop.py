@@ -153,7 +153,7 @@ def test_assemble_dense_diagonal_for_zero_state():
     g = GridSpec(16)
     op = LinearOperator(zero_steady(g))
     K = 3
-    A = assemble_dense(op, K)
+    A = assemble_dense(op, K).toarray()
     modes = truncation_modes(K)
     expect = np.diag([-np.hypot(k1, k2) for k1, k2 in modes])
     assert np.max(np.abs(A - expect)) < 1e-13
@@ -163,7 +163,7 @@ def test_assemble_dense_diagonal_for_zero_state():
 def test_assemble_dense_matches_shear_oracle(m, a, K):
     g = GridSpec(48)
     op = LinearOperator(shear_steady_state(g, m=m, amplitude=a))
-    A = assemble_dense(op, K)
+    A = assemble_dense(op, K).toarray()
     B = shear_oracle_matrix(m, a, K)
     assert np.max(np.abs(A - B)) < 1e-12 * max(1.0, np.max(np.abs(B)))
     # sparsity: coupling only between modes with equal k1 and k2 differing by m
@@ -181,11 +181,26 @@ def test_mode_index_matches_truncation_modes():
 
 
 def test_assemble_dense_validation(g48, unstable):
+    # the cap bounds the largest block: 2K + 1 = 25 for the shear at K = 12,
+    # M = 624 for a state that depends on x1
     op = LinearOperator(unstable)
     with pytest.raises(errors.ResolutionError):
         assemble_dense(op, g48.dealias_radius + 1)
     with pytest.raises(errors.ResourceError):
-        assemble_dense(op, 12, cap=100)
+        assemble_dense(op, 12, cap=24)
+    x1, _ = meshgrid(g48)
+    op_x1 = LinearOperator(make_steady(from_values(g48, -10.0 * np.cos(2 * x1))))
+    with pytest.raises(errors.ResourceError):
+        assemble_dense(op_x1, 12, cap=100)
+
+
+def test_shear_runs_dense_under_a_cap_below_M():
+    # n = 24, K = 8: M = 288, but no block is wider than 2K + 1 = 17
+    op = LinearOperator(shear_steady_state(GridSpec(24), m=2, amplitude=10.0))
+    section = assemble_dense(op, 8, cap=20)
+    assert section.shape == (288, 288)
+    assert max(len(b) for b in section.blocks) == 17
+    assert rightmost_eigenpair(op, K=8, cap=20).residual < 1e-12
 
 
 def test_trivial_spectrum(g48):
@@ -263,7 +278,7 @@ def test_dense_tie_goes_to_smaller_k1():
     assert abs(res.rightmost - (-1.0)) < 1e-12
     assert _k1_rows(res.eigenfunction) == [0]
     assert np.sum(np.abs(res.eigenvalues + 1.0) < 1e-10) == 4
-    A = assemble_dense(op, g.dealias_radius)
+    A = assemble_dense(op, g.dealias_radius).toarray()
     k1 = np.array(truncation_modes(g.dealias_radius))[:, 0]
     for k, copies in ((0, 2), (1, 1), (-1, 1)):
         b = np.flatnonzero(k1 == k)
@@ -288,7 +303,10 @@ def test_block_spectrum_matches_full_matrix(m):
     g = GridSpec(24)
     K = g.dealias_radius
     op = LinearOperator(shear_steady_state(g, m=m, amplitude=10.0))
-    A = assemble_dense(op, K)
+    section = assemble_dense(op, K)
+    assert len(section.blocks) == 2 * K + 1
+    assert max(len(b) for b in section.blocks) <= 2 * K + 1
+    A = section.toarray()
     k1 = np.array(truncation_modes(K))[:, 0]
     assert np.all(A[k1[:, None] != k1[None, :]] == 0)
     full = np.linalg.eigvals(A)
@@ -308,7 +326,9 @@ def test_x1_dependent_state_takes_one_block():
     x1, _ = meshgrid(g)
     op_x1 = LinearOperator(make_steady(from_values(g, -10.0 * np.cos(2 * x1))))
     K = g.dealias_radius
-    A = assemble_dense(op_x1, K)
+    section = assemble_dense(op_x1, K)
+    assert [len(b) for b in section.blocks] == [(2 * K + 1) ** 2 - 1]
+    A = section.toarray()
     k1 = np.array(truncation_modes(K))[:, 0]
     assert np.any(A[k1[:, None] != k1[None, :]] != 0)
     lam_x1 = rightmost_eigenpair(op_x1).rightmost.real
@@ -388,7 +408,7 @@ def test_evolve_linear_matches_expm_oracle():
     K = g.dealias_radius  # 5: matrix is the exact implemented operator
     ss = shear_steady_state(g, m=1, amplitude=0.8)
     op = LinearOperator(ss)
-    A = assemble_dense(op, K)
+    A = assemble_dense(op, K).toarray()
     modes = truncation_modes(K)
     rng = np.random.default_rng(8)
     v = random_pert(g, rng, kmax=3, amp=0.5)

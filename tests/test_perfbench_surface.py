@@ -1,7 +1,10 @@
 """The names and call signatures of sqglab that the benchmark harness in
 perfbench/ relies on.  The tracer skips a name it cannot find without a word,
 so a rename would silently drop a per-layer span; a probe whose call no
-longer fits its function would fail only when the benchmark runs."""
+longer fits its function would fail only when the benchmark runs.  The
+tracer also spans only the module-level names it rebinds, so a layer whose
+callers reach its work through another function drops its metric although
+every name still exists."""
 
 import ast
 import importlib
@@ -78,3 +81,29 @@ def test_probe_calls_fit_their_signatures():
             inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
         except TypeError as exc:
             raise AssertionError(f"{where}: {exc}") from None
+
+
+def test_probe_fallbacks_report_every_metric(tmp_path, monkeypatch):
+    # probes.py and run.py import their siblings by plain name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer, probes, run = (load_by_path(name) for name in ("tracer", "probes", "run"))
+    case = probes.Case(24, 2, 10.0, 0, tmp_path)
+    calls = [make(case) for make in dict.fromkeys(probes.FALLBACKS.values())]
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for call in calls:
+            call()
+    finally:
+        trace.uninstall()
+    metrics = run.span_metrics(
+        {"spans": trace.spans, "counts": trace.counts, "results": trace.results, "import_s": 0.0}
+    )
+    assert sorted(set(probes.FALLBACKS) - set(metrics)) == []
+    # the dense rightmost_eigenpair(K=4) of the shear is the one assembly:
+    # a span inside the eigensolve's span, of dimension M = 80
+    names = [span[0] for span in trace.spans]
+    assembly = [span for span in trace.spans if span[0] == "linop.assemble_dense"]
+    assert len(assembly) == 1
+    assert names[assembly[0][3]] == "linop.rightmost_eigenpair"
+    assert trace.counts["linop.dense_dim"] == 80
