@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 scientific failure (inequality / regression / gate),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -21,9 +20,11 @@ from .config import RunConfig, load_config
 from .dynamics import (
     EvolutionState,
     FULL,
+    PERTURBATION,
     StepperConfig,
     SteadyState,
     evolve,
+    integrate,
     make_steady,
     shear_steady_state,
 )
@@ -34,7 +35,13 @@ from .errors import (
     SqgLabError,
     ValidationError,
 )
-from .growth import ExperimentConfig, check_epsilons, epsilon_sweep, run_perturbation
+from .growth import (
+    ExperimentConfig,
+    check_epsilons,
+    epsilon_sweep,
+    real_eigenfunction,
+    run_perturbation,
+)
 from .linop import LinearOperator, SpectrumResult, check_dense_cap, rightmost_eigenpair
 from .modulus import (
     ModulusParams,
@@ -109,20 +116,6 @@ def _build_spectrum(cfg: RunConfig, steady: SteadyState) -> SpectrumResult:
         K=cfg.spectrum.K,
         method=cfg.spectrum.method,
         tau_pow=cfg.spectrum.tau_pow,
-    )
-
-
-def _experiment(cfg: RunConfig, steady: SteadyState, spectrum: SpectrumResult, **kw):
-    """Perturbation experiment with the [experiment] and [time] settings."""
-    kw.setdefault("threshold", cfg.experiment.threshold)
-    return ExperimentConfig(
-        steady=steady,
-        spectrum=spectrum,
-        epsilons=list(cfg.experiment.epsilons),
-        envelope_radius=cfg.experiment.R,
-        observe_every=cfg.time.observe_every,
-        stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
-        **kw,
     )
 
 
@@ -219,7 +212,15 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
             "spectrally stable, the escape-time experiment is vacuous"
         )
         return 1
-    exp = _experiment(cfg, steady, spectrum)
+    exp = ExperimentConfig(
+        steady=steady,
+        spectrum=spectrum,
+        epsilons=list(cfg.experiment.epsilons),
+        envelope_radius=cfg.experiment.R,
+        threshold=cfg.experiment.threshold,
+        observe_every=cfg.time.observe_every,
+        stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
+    )
     if len(exp.epsilons) == 1:
         print("single epsilon: running one record, no regression")
         rec = run_perturbation(exp, exp.epsilons[0])
@@ -313,18 +314,19 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
     code = 0 if gate else 1
 
     if trajectory:
-        spectrum = _build_spectrum(cfg, steady)
-        exp = _experiment(cfg, steady, spectrum, threshold=math.inf, t_max=cfg.time.t_max)
-        g = steady.grid
+        # the perturbation dynamics from eps Re(phi) to t_max, one slot: the
+        # modulus is checked on the full field at every observation
+        psi = real_eigenfunction(_build_spectrum(cfg, steady))
+        stepper = StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
+        run = integrate(
+            steady, PERTURBATION, (cfg.experiment.epsilons[0] * psi.coeffs)[None], 0.0,
+            cfg.time.t_max, stepper, cfg.time.observe_every,
+        )
         traj = {"t": [], "modulus_ratio": []}
-
-        def watch(t, full_coeffs):
-            traj["t"].append(t)
-            traj["modulus_ratio"].append(
-                empirical_modulus(SpectralField(g, full_coeffs), params, seed=use_seed)
-            )
-
-        run_perturbation(exp, exp.epsilons[0], field_observer=watch)
+        for c, norms in run:
+            full = SpectralField(steady.grid, c[0] + steady.theta0.coeffs)
+            traj["t"].append(norms["t"])
+            traj["modulus_ratio"].append(empirical_modulus(full, params, seed=use_seed))
         _write_series(out / "trajectory.csv", traj)
         worst = max(traj["modulus_ratio"])
         lines.append(f"trajectory_max_ratio = {_fmt(worst)}")
@@ -353,8 +355,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--jobs", type=int, default=1, help="parallel runs for sweeps")
-        p.add_argument("--seed", type=int, default=None, help="64-bit sampler seed")
         if name == "modulus":
+            p.add_argument("--seed", type=int, default=None, help="64-bit sampler seed")
             p.add_argument(
                 "--trajectory",
                 action="store_true",
@@ -363,7 +365,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.seed is not None and not 0 <= args.seed <= 2**64 - 1:
+        seed = getattr(args, "seed", None)
+        if seed is not None and not 0 <= seed <= 2**64 - 1:
             raise ValidationError("--seed must be a 64-bit unsigned integer")
         if args.jobs < 1:
             raise ValidationError("--jobs must be at least 1")
@@ -391,7 +394,7 @@ def main(argv=None) -> int:
             return cmd_evolve(cfg, out)
         if args.command == "instability":
             return cmd_instability(cfg, out, args.jobs)
-        return cmd_modulus(cfg, out, args.seed, args.trajectory)
+        return cmd_modulus(cfg, out, seed, args.trajectory)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

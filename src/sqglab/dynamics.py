@@ -8,7 +8,8 @@ advection and force explicit), and the one time loop, `integrate` (CFL step,
 landing on observation times, finite check, gradient guard) on a slot stack:
 `evolve` steps one slot, `growth.run_perturbation` two, the second the
 co-evolved linear solution.  Both return a series, one array per
-`observed_norms` key.  The kernel, the step and the loop work on rfft2
+`observed_norms` key; a caller that watches the fields of a run iterates
+`integrate` itself.  The kernel, the step and the loop work on rfft2
 half-spectra (see `spectral`); the public functions take and return full
 coefficients and convert at their boundary.  A steady state is theta0 and f;
 its velocity q0 and gradient come from the kernel's own symbols.
@@ -347,10 +348,10 @@ def evolve(
     state: EvolutionState,
     t_final: float,
     config: StepperConfig | None = None,
-    observer=None,
     observe_every: float = 0.05,
 ) -> EvolveResult:
-    """Integrate to t_final, calling observer(t, norms) at the given cadence.
+    """Integrate to t_final, observing at the given cadence; a caller that
+    needs the fields along the way iterates `integrate` instead.
 
     Raises BlowUpError on non-finite coefficients or when the full-field
     gradient exceeds GRAD_GUARD_FACTOR times max(its initial value, 1).
@@ -363,7 +364,5 @@ def evolve(
     )
     for c, norms in run:
         rows.append(norms)
-        if observer is not None:
-            observer(norms["t"], norms)
     final = replace(state, theta=SpectralField(state.theta.grid, c[0]), t=norms["t"])
     return EvolveResult(state=final, series=to_series(rows))

@@ -7,7 +7,9 @@ Duhamel residual ||theta(t) - e^{Lt} eps phi|| isolates the nonlinear part.
 The run is `dynamics.integrate`, the time loop `dynamics.evolve` uses, on a
 two-slot stack whose slot 1 is the linear solution: one kernel call advances
 both.  Its series is that of `dynamics.evolve` plus the duhamel_residual
-column.
+column.  A caller that needs the fields along a run, not only its series,
+iterates `dynamics.integrate` itself: slot 0 of the stack here is
+bit-identical to a one-slot perturbation run from the same data.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class GrowthRecord:
     escape_time: float | None = None
     escape_norm: float | None = None
     envelope_time: float | None = None
-    vacuous: bool = False
 
     @property
     def t(self) -> np.ndarray:
@@ -94,20 +95,13 @@ def real_eigenfunction(spectrum: SpectrumResult) -> SpectralField:
     return out
 
 
-def run_perturbation(
-    config: ExperimentConfig, epsilon: float, field_observer=None
-) -> GrowthRecord:
-    """Evolve the perturbation dynamics from eps * Re(phi) until escape or t_max.
-
-    field_observer, when given, is called with (t, full_theta_coeffs) at every
-    recorded time (used for trajectory modulus monitoring).
-    """
+def run_perturbation(config: ExperimentConfig, epsilon: float) -> GrowthRecord:
+    """Evolve the perturbation dynamics from eps * Re(phi) until escape or
+    t_max, with the co-evolved linear solution, and fit the growth rate."""
     if epsilon < 0 or epsilon > 1:
         raise DomainError("epsilon must lie in [0, 1]")
     steady = config.steady
     lam = config.spectrum.rightmost.real
-    vacuous = lam <= 0
-
     psi = real_eigenfunction(config.spectrum)
     c = epsilon * psi.coeffs
     rows: list[dict[str, float]] = []
@@ -126,18 +120,14 @@ def run_perturbation(
             and l2 > epsilon * config.envelope_radius * np.exp(lam * t)
         ):
             envelope_time = t
-        if field_observer is not None:
-            field_observer(t, c + steady.theta0.coeffs)
         if l2 >= config.threshold:
             break
 
-    rec = GrowthRecord(
-        epsilon=epsilon, series=to_series(rows), envelope_time=envelope_time, vacuous=vacuous
-    )
+    rec = GrowthRecord(epsilon=epsilon, series=to_series(rows), envelope_time=envelope_time)
     rec.escape_time = escape_time(rec, config.threshold)
     if rec.escape_time is not None:
         rec.escape_norm = config.threshold
-    if epsilon > 0 and not vacuous:
+    if epsilon > 0 and lam > 0:
         try:
             rec.lambda_hat = fit_growth_rate(
                 rec,
@@ -224,18 +214,14 @@ def check_epsilons(eps: list[float]) -> None:
         raise DomainError("sweep needs >= 4 epsilons spanning >= 2 decades")
 
 
-def epsilon_sweep(config: ExperimentConfig, progress=None, records=None) -> SweepReport:
-    """Run every epsilon (unless precomputed records are passed, e.g. from a
-    parallel executor), then regress escape time against ln(1/eps)."""
+def epsilon_sweep(config: ExperimentConfig, records=None) -> SweepReport:
+    """Run every epsilon, then regress escape time against ln(1/eps).  A
+    caller that runs the epsilons itself (in parallel, or reporting each as
+    it ends) passes their records."""
     eps = config.epsilons
     check_epsilons(eps)
     if records is None:
-        records = []
-        for e in eps:
-            rec = run_perturbation(config, e)
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
+        records = [run_perturbation(config, e) for e in eps]
     escaped = [r for r in records if r.escape_time is not None]
     not_escaped = [r.epsilon for r in records if r.escape_time is None]
     if len(escaped) < 2:

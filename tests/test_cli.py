@@ -303,6 +303,17 @@ def test_cmd_negative_seed_is_validation_error(tmp_path):
     assert not out.exists()
 
 
+def test_seed_is_a_usage_error_where_nothing_samples(tmp_path):
+    # only modulus reads a seed; elsewhere it would be silently ignored
+    cfg = steady_ini(tmp_path, n=24, m=2, amplitude=10.0)
+    out = tmp_path / "o"
+    for command in ("steady", "spectrum", "evolve", "instability"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cmd_bad_jobs_is_validation_error(tmp_path):
     cfg = steady_ini(tmp_path, n=24, m=2, amplitude=10.0)
     out = tmp_path / "o"

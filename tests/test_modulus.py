@@ -205,13 +205,13 @@ def test_tanh_sinh_rule_error_within_its_estimate():
         return np.abs(w - 1.0 / 3.0)
 
     # algebraic end behaviour, as at the end of M_B's first integral
-    value, est = _tanh_sinh(lambda w: (1.0 - w) ** 1.5, [0.0, 1.0], 1e-11, 1e-11)
+    value, est = _tanh_sinh(lambda w: (1.0 - w) ** 1.5, [0.0, 1.0], 1e-11)
     assert abs(value - 0.4) <= est + 4 * eps and est <= 1e-11
     # a kink at a piece end converges to the target; inside a piece the rule
     # stops at its last level, and its estimate still bounds the error
-    value, est = _tanh_sinh(kinked, [0.0, 1.0 / 3.0, 1.0], 1e-11, 1e-11)
+    value, est = _tanh_sinh(kinked, [0.0, 1.0 / 3.0, 1.0], 1e-11)
     assert abs(value - 5.0 / 18.0) <= est + 4 * eps and est <= 1e-11
-    value, est = _tanh_sinh(kinked, [0.0, 1.0], 1e-11, 1e-11)
+    value, est = _tanh_sinh(kinked, [0.0, 1.0], 1e-11)
     assert 1e-11 < abs(value - 5.0 / 18.0) <= est
 
 
@@ -449,8 +449,8 @@ def test_verify_inequality_flips_without_force_condition(verified):
 def test_verify_inequality_quadrature_self_convergence(verified):
     params, f, _ = verified
     grid = np.geomspace(1e-4 * params.d, params.d, 40)
-    r1 = verify_inequality(params, f, grid, quad_opts=dict(epsabs=1e-11, epsrel=1e-11, limit=400))
-    r2 = verify_inequality(params, f, grid, quad_opts=dict(epsabs=5e-12, epsrel=5e-12, limit=400))
+    r1 = verify_inequality(params, f, grid, tol=1e-11)
+    r2 = verify_inequality(params, f, grid, tol=5e-12)
     assert np.max(np.abs(r1.lhs - r2.lhs)) < 1e-8
 
 
@@ -522,7 +522,6 @@ def test_trajectory_modulus_preserved_on_feasible_run(small_steady):
         state,
         2.0,
         StepperConfig(cfl=0.4, dt_max=0.02),
-        observer=None,
         observe_every=0.25,
     )
     # re-check the modulus on the recorded fields by re-running with a field hook
