@@ -314,17 +314,17 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
     code = 0 if gate else 1
 
     if trajectory:
-        # the perturbation dynamics from eps Re(phi) to t_max, one slot: the
-        # modulus is checked on the full field at every observation
+        # the perturbation dynamics from eps Re(phi) to t_max: the modulus is
+        # checked on the full field at every observation
         psi = real_eigenfunction(_build_spectrum(cfg, steady))
         stepper = StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max)
         run = integrate(
-            steady, PERTURBATION, (cfg.experiment.epsilons[0] * psi.coeffs)[None], 0.0,
+            steady, PERTURBATION, cfg.experiment.epsilons[0] * psi.coeffs, 0.0,
             cfg.time.t_max, stepper, cfg.time.observe_every,
         )
         traj = {"t": [], "modulus_ratio": []}
         for c, norms in run:
-            full = SpectralField(steady.grid, c[0] + steady.theta0.coeffs)
+            full = SpectralField(steady.grid, c + steady.theta0.coeffs)
             traj["t"].append(norms["t"])
             traj["modulus_ratio"].append(empirical_modulus(full, params, seed=use_seed))
         _write_series(out / "trajectory.csv", traj)
@@ -371,20 +371,26 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValidationError("--jobs must be at least 1")
         cfg = load_config(args.config)
-        out = Path(args.out) if args.out else Path(cfg.io.out_dir)
-        # a dense spectrum over its size cap, a sweep too short to fit the
+        out = Path(args.out or cfg.io.out_dir).resolve()
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ValidationError(f"output directory {out} is a file or lies under one")
+        # a dense section over its size cap, a sweep too short to fit the
         # escape law, or epsilons sharing a series file fail before computing
         if args.command == "instability":
             eps = cfg.experiment.epsilons
             check_epsilons(eps)
             if len({_series_name(e) for e in eps}) < len(eps):
                 raise ValidationError(f"two epsilons share a series file: {eps}")
-        if cfg.spectrum.method == "dense" and (
-            args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
+        if args.command == "instability" or (
+            cfg.spectrum.method == "dense"
+            and (args.command == "spectrum" or getattr(args, "trajectory", False))
         ):
-            # a shear is x1-invariant, so its largest block is one k1 chain; a
-            # custom-file state is known only once read: it counts as one block of M
-            w = 2 * (cfg.spectrum.K or GridSpec(cfg.grid.n).dealias_radius) + 1
+            # instability's linear reference is the section at n/3, whatever
+            # the method.  A shear is x1-invariant, so its largest block is one
+            # k1 chain; a custom-file state is known only once read: it counts
+            # as one block of M
+            K = None if args.command == "instability" else cfg.spectrum.K
+            w = 2 * (K or GridSpec(cfg.grid.n).dealias_radius) + 1
             check_dense_cap(w if cfg.steady.kind == "shear" else w**2 - 1)
         if args.command == "steady":
             return cmd_steady(cfg, out)
@@ -400,6 +406,8 @@ def main(argv=None) -> int:
         return 2
     except (BlowUpError, ConvergenceError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "diagnostics", {}).items():
+            print(f"  {key} = {_fmt(value)}", file=sys.stderr)
         return 3
     except SqgLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

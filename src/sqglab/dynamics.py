@@ -5,14 +5,16 @@ This module holds the one advection kernel, `advection` (full, linearized and
 perturbation variants; `linop` applies L through it), the one
 integrating-factor RK4 step, `if_rk4_step` (exp(-|k| dt) applied exactly,
 advection and force explicit), and the one time loop, `integrate` (CFL step,
-landing on observation times, finite check, gradient guard) on a slot stack:
-`evolve` steps one slot, `growth.run_perturbation` two, the second the
-co-evolved linear solution.  Both return a series, one array per
-`observed_norms` key; a caller that watches the fields of a run iterates
-`integrate` itself.  The kernel, the step and the loop work on rfft2
-half-spectra (see `spectral`); the public functions take and return full
-coefficients and convert at their boundary.  A steady state is theta0 and f;
-its velocity q0 and gradient come from the kernel's own symbols.
+landing on observation times, finite check, gradient guard), which steps one
+field in either mode.  `evolve` returns a run's series, one array per
+`observed_norms` key; `growth.run_perturbation` iterates `integrate` and
+compares each yield with the linear reference, which it takes from the
+exponential of `linop`'s dense section, not from this loop.  A caller that
+watches the fields of a run iterates `integrate` itself.  The kernel, the
+step and the loop work on rfft2 half-spectra (see `spectral`); the public
+functions take and return full coefficients and convert at their boundary.
+A steady state is theta0 and f; its velocity q0 and gradient come from the
+kernel's own symbols.
 """
 
 from __future__ import annotations
@@ -150,8 +152,7 @@ def advection(c: np.ndarray, grid: GridSpec, base=None, nonlinear=1.0) -> np.nda
     With base None this is the full term -u.grad(theta), u = (R2 theta, -R1 theta).
     With base = steady.advection_base it is -(q0 + a u).grad(theta) - u.grad(theta0)
     with a = nonlinear: 0 gives the linearized term, 1 the perturbation term
-    (linearized plus full).  c may carry leading axes; nonlinear may be an
-    array broadcast over them, which gives each slot its own variant.
+    (linearized plus full).  c may carry leading axes.
     """
     return _advect(c, grid, base, nonlinear)[0]
 
@@ -168,7 +169,7 @@ def _advect(c, grid, base=None, nonlinear=1.0):
         prod = u1 * d1 + u2 * d2
     else:
         U1, U2, t1, t2 = base
-        if np.any(nonlinear):
+        if nonlinear:
             U1, U2 = U1 + nonlinear * u1, U2 + nonlinear * u2
         prod = U1 * d1 + U2 * d2 + u1 * t1 + u2 * t2
     out = -half_coeffs(prod)
@@ -177,13 +178,13 @@ def _advect(c, grid, base=None, nonlinear=1.0):
     return out, (U1, U2)
 
 
-def _explicit(steady: SteadyState, mode: str, nonlinear=1.0):
+def _explicit(steady: SteadyState, mode: str):
     """Everything but the dissipation, on half-spectra: h -> (term, (U1, U2)),
     the advection term plus the force in full mode, and the advecting velocity."""
     g = steady.grid
     if mode == PERTURBATION:
         base = steady.advection_base
-        return lambda h: _advect(h, g, base, nonlinear)
+        return lambda h: _advect(h, g, base)
     f = half(steady.f.coeffs)
 
     def full(h):
@@ -289,26 +290,22 @@ def integrate(
     """The time loop: yield (c, norms) at the start, at every observation time
     and at t_final; the caller stops the run early by leaving the loop.
 
-    c is a slot stack, the full coefficients (slots, n, n) of fields in
-    `mode`; the loop steps its half-spectra, one kernel call per RK stage,
-    and yields full coefficients.  Slot 0 is the observed field: the CFL step,
-    read off its velocity at the first RK stage, and the norms
-    (`observed_norms`) use it alone.  The stack has one slot, or, in
-    perturbation mode, two: slot 1 is stepped with the linearized variant,
-    which makes it the co-evolved linear solution.
+    c is the full coefficients (n, n) of a field in `mode`; the loop steps its
+    half-spectrum, reads the CFL step off its velocity at the first RK stage,
+    and yields full coefficients with their `observed_norms`.
 
     Raises BlowUpError on non-finite coefficients, or when the full-field
     linf_grad exceeds GRAD_GUARD_FACTOR times max(its initial value, 1), with
     the norms as diagnostics.
     """
     g = steady.grid
-    advect = _explicit(steady, mode, np.array([1.0, 0.0])[: len(c), None, None])
+    advect = _explicit(steady, mode)
 
     def explicit(h):
         return advect(h)[0]
 
     def norms_at(cc, tt):
-        return observed_norms(EvolutionState(SpectralField(g, cc[0]), tt, steady, mode))
+        return observed_norms(EvolutionState(SpectralField(g, cc), tt, steady, mode))
 
     if not np.all(np.isfinite(c)):
         raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
@@ -321,7 +318,7 @@ def integrate(
     while t < t_final - 1e-14:
         k1, (U1, U2) = advect(h)
         # land exactly on the next observation time and on t_final
-        dt = min(_cfl(U1[0], U2[0], g, config), next_obs - t, t_final - t)
+        dt = min(_cfl(U1, U2, g, config), next_obs - t, t_final - t)
         if dt != dt_prev:
             e1, e2 = decay_factors(g, dt)
             dt_prev = dt
@@ -359,10 +356,9 @@ def evolve(
     config = config or StepperConfig()
     rows: list[dict] = []
     run = integrate(
-        state.steady, state.mode, state.theta.coeffs[None].copy(), state.t, t_final,
-        config, observe_every,
+        state.steady, state.mode, state.theta.coeffs, state.t, t_final, config, observe_every
     )
     for c, norms in run:
         rows.append(norms)
-    final = replace(state, theta=SpectralField(state.theta.grid, c[0]), t=norms["t"])
+    final = replace(state, theta=SpectralField(state.theta.grid, c), t=norms["t"])
     return EvolveResult(state=final, series=to_series(rows))

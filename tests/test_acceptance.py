@@ -365,11 +365,11 @@ def test_criterion_9_trajectory_modulus(g64, unstable64, spectrum64, sweep):
     ratios = []
     c = 1e-3 * real_eigenfunction(cfg.spectrum).coeffs
     run = integrate(
-        cfg.steady, PERTURBATION, c[None], 0.0, cfg.t_max, cfg.stepper, cfg.observe_every
+        cfg.steady, PERTURBATION, c, 0.0, cfg.t_max, cfg.stepper, cfg.observe_every
     )
     for c, norms in run:
         ratios.append(
-            empirical_modulus(SpectralField(g64, c[0] + cfg.steady.theta0.coeffs), params)
+            empirical_modulus(SpectralField(g64, c + cfg.steady.theta0.coeffs), params)
         )
         if norms["l2"] >= cfg.threshold:
             break

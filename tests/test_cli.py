@@ -28,10 +28,12 @@ def run_python(code):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # only ARPACK is imported lazily, by the one function that calls it
+    # ARPACK and the block exponentials are imported lazily, by the functions
+    # that call them
     code = (
         "import sys, sqglab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules])"
+        "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg')"
+        " if m in sys.modules])"
     )
     assert run_python(code) == "[]"
 
@@ -355,11 +357,43 @@ def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path, capsys):
         "kind = shear\nm = 1\namplitude = 2e-4", f"kind = custom-file\nfile = {field}"
     )
     cfg = write_config(tmp_path / "m.ini", text)
-    for args in (["spectrum"], ["instability"], ["modulus", "--trajectory"]):
+    # instability needs the n/3 section for its linear reference, whatever the method
+    power = write_config(tmp_path / "p.ini", text + "[spectrum]\nmethod = power\n")
+    cases = (
+        (cfg, ["spectrum"]), (cfg, ["instability"]), (cfg, ["modulus", "--trajectory"]),
+        (power, ["instability"]),
+    )
+    for config, args in cases:
         out = tmp_path / "o"
-        assert main([args[0], "--config", cfg, "--out", str(out)] + args[1:]) == 2
+        assert main([args[0], "--config", config, "--out", str(out)] + args[1:]) == 2
         assert not out.exists()
         assert "exceeds cap 5000" in capsys.readouterr().err
+
+
+def test_cmd_out_that_is_a_file_fails_before_computing(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached computation")
+
+    monkeypatch.setattr(cli, "_build_steady", never)
+    cfg = steady_ini(tmp_path, n=24, m=2, amplitude=10.0)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for command in ("steady", "spectrum", "evolve", "instability", "modulus"):
+        for out in (taken, taken / "below"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "taken"]
+
+
+def test_cmd_blow_up_prints_its_diagnostics(tmp_path, monkeypatch, capsys):
+    # a guard factor below 1 trips at the first observation after the start
+    monkeypatch.setattr(dynamics, "GRAD_GUARD_FACTOR", 0.5)
+    cfg = steady_ini(tmp_path, n=16, m=2, amplitude=10.0, extra="[time]\nt_max = 0.1\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "gradient guard tripped at t=0.050000" in err
+    for key in ("t", "l2", "linf", "linf_grad", "hhalf", "energy_flux"):
+        assert f"\n  {key} = " in err
 
 
 def test_cmd_spectrum_zero_state(tmp_path):

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sqglab import errors
 from sqglab.dynamics import make_steady, shear_steady_state
+from sqglab.growth import real_eigenfunction
 from sqglab.linop import (
     LinearOperator,
     apply_L,
@@ -153,7 +154,7 @@ def test_assemble_dense_diagonal_for_zero_state():
     g = GridSpec(16)
     op = LinearOperator(zero_steady(g))
     K = 3
-    A = assemble_dense(op, K).toarray()
+    A = scipy.linalg.block_diag(*assemble_dense(op, K).blocks)
     modes = truncation_modes(K)
     expect = np.diag([-np.hypot(k1, k2) for k1, k2 in modes])
     assert np.max(np.abs(A - expect)) < 1e-13
@@ -163,7 +164,7 @@ def test_assemble_dense_diagonal_for_zero_state():
 def test_assemble_dense_matches_shear_oracle(m, a, K):
     g = GridSpec(48)
     op = LinearOperator(shear_steady_state(g, m=m, amplitude=a))
-    A = assemble_dense(op, K).toarray()
+    A = scipy.linalg.block_diag(*assemble_dense(op, K).blocks)
     B = shear_oracle_matrix(m, a, K)
     assert np.max(np.abs(A - B)) < 1e-12 * max(1.0, np.max(np.abs(B)))
     # sparsity: coupling only between modes with equal k1 and k2 differing by m
@@ -278,7 +279,7 @@ def test_dense_tie_goes_to_smaller_k1():
     assert abs(res.rightmost - (-1.0)) < 1e-12
     assert _k1_rows(res.eigenfunction) == [0]
     assert np.sum(np.abs(res.eigenvalues + 1.0) < 1e-10) == 4
-    A = assemble_dense(op, g.dealias_radius).toarray()
+    A = scipy.linalg.block_diag(*assemble_dense(op, g.dealias_radius).blocks)
     k1 = np.array(truncation_modes(g.dealias_radius))[:, 0]
     for k, copies in ((0, 2), (1, 1), (-1, 1)):
         b = np.flatnonzero(k1 == k)
@@ -306,7 +307,7 @@ def test_block_spectrum_matches_full_matrix(m):
     section = assemble_dense(op, K)
     assert len(section.blocks) == 2 * K + 1
     assert max(len(b) for b in section.blocks) <= 2 * K + 1
-    A = section.toarray()
+    A = scipy.linalg.block_diag(*section.blocks)
     k1 = np.array(truncation_modes(K))[:, 0]
     assert np.all(A[k1[:, None] != k1[None, :]] == 0)
     full = np.linalg.eigvals(A)
@@ -316,6 +317,34 @@ def test_block_spectrum_matches_full_matrix(m):
     dist = np.abs(res.eigenvalues[:, None] - full[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert np.max(dist[rows, cols]) < 1e-10
+
+
+def test_section_exponential_is_the_semigroup():
+    # at K = n/3 the section is L on every alias-free mode, so its block
+    # exponentials advance Re(phi), an exact eigenvector, by e^{lambda t} to
+    # rounding, and agree with the IF-RK4 semigroup to its O(dt^4) error
+    g = GridSpec(24)
+    op = LinearOperator(shear_steady_state(g, m=2, amplitude=10.0))
+    spec = rightmost_eigenpair(op)
+    assert abs(spec.rightmost.imag) < 1e-12
+    psi = real_eigenfunction(spec)
+    section = assemble_dense(op, g.dealias_radius)
+    t = 1.0
+    exponential = section.expm(t)
+    for e, b in zip(exponential.blocks, section.blocks):
+        ref = scipy.linalg.expm(t * b)
+        assert np.linalg.norm(e - ref) < 1e-13 * np.linalg.norm(ref)
+    got = exponential.apply(psi.coeffs)
+    scale = np.exp(spec.rightmost.real * t) * np.linalg.norm(psi.coeffs)
+    assert np.linalg.norm(got - np.exp(spec.rightmost.real * t) * psi.coeffs) < 1e-12 * scale
+    assert np.linalg.norm(got - evolve_linear(op, psi, t, 1e-3).coeffs) < 1e-11 * scale
+    # on generic band-limited data the IF-RK4 error falls by 2^4 per halved dt
+    x1, x2 = meshgrid(g)
+    c = from_values(g, np.cos(3 * x1 + x2) + np.sin(5 * x2))
+    exact = section.expm(0.5).apply(c.coeffs)
+    errs = [np.linalg.norm(evolve_linear(op, c, 0.5, dt).coeffs - exact) for dt in (2e-3, 1e-3)]
+    assert errs[1] < 1e-8 * np.linalg.norm(exact)
+    assert 12.0 < errs[0] / errs[1] < 20.0
 
 
 def test_x1_dependent_state_takes_one_block():
@@ -328,7 +357,7 @@ def test_x1_dependent_state_takes_one_block():
     K = g.dealias_radius
     section = assemble_dense(op_x1, K)
     assert [len(b) for b in section.blocks] == [(2 * K + 1) ** 2 - 1]
-    A = section.toarray()
+    A = scipy.linalg.block_diag(*section.blocks)
     k1 = np.array(truncation_modes(K))[:, 0]
     assert np.any(A[k1[:, None] != k1[None, :]] != 0)
     lam_x1 = rightmost_eigenpair(op_x1).rightmost.real
@@ -408,7 +437,7 @@ def test_evolve_linear_matches_expm_oracle():
     K = g.dealias_radius  # 5: matrix is the exact implemented operator
     ss = shear_steady_state(g, m=1, amplitude=0.8)
     op = LinearOperator(ss)
-    A = assemble_dense(op, K).toarray()
+    A = scipy.linalg.block_diag(*assemble_dense(op, K).blocks)
     modes = truncation_modes(K)
     rng = np.random.default_rng(8)
     v = random_pert(g, rng, kmax=3, amp=0.5)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqglab import errors, modulus
-from sqglab.dynamics import EvolutionState, FULL, StepperConfig, evolve, make_steady
+from sqglab.dynamics import FULL, StepperConfig, integrate, make_steady
 from sqglab.modulus import (
     TORUS_DIAMETER,
     ChooseBResult,
@@ -516,21 +516,11 @@ def test_trajectory_modulus_preserved_on_feasible_run(small_steady):
     assert res.feasible
     assert_grid_minimal(res, th_init, f, base, theta_init)
     params = base.with_B(res.B)
-    ratios = []
-    state = EvolutionState(theta_init, 0.0, ss, FULL)
-    out = evolve(
-        state,
-        2.0,
-        StepperConfig(cfl=0.4, dt_max=0.02),
-        observe_every=0.25,
+    run = integrate(
+        ss, FULL, theta_init.coeffs, 0.0, 2.0, StepperConfig(cfl=0.4, dt_max=0.02), 0.25
     )
-    # re-check the modulus on the recorded fields by re-running with a field hook
-    from sqglab.dynamics import step
-
-    cur = state
-    ratios.append(empirical_modulus(cur.theta, params, n_random_pairs=20_000))
-    for _ in range(8):
-        for _ in range(10):
-            cur = step(cur, 0.025, StepperConfig(cfl=0.9, dt_max=0.025))
-        ratios.append(empirical_modulus(cur.theta, params, n_random_pairs=20_000))
+    ratios = [
+        empirical_modulus(SpectralField(g, c), params, n_random_pairs=20_000) for c, _ in run
+    ]
+    assert len(ratios) == 9
     assert all(r < 1.0 for r in ratios)
