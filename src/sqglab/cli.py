@@ -374,23 +374,19 @@ def main(argv=None) -> int:
         out = Path(args.out or cfg.io.out_dir).resolve()
         if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
             raise ValidationError(f"output directory {out} is a file or lies under one")
-        # a dense section over its size cap, a sweep too short to fit the
+        # a dense spectrum over its size cap, a sweep too short to fit the
         # escape law, or epsilons sharing a series file fail before computing
         if args.command == "instability":
             eps = cfg.experiment.epsilons
             check_epsilons(eps)
             if len({_series_name(e) for e in eps}) < len(eps):
                 raise ValidationError(f"two epsilons share a series file: {eps}")
-        if args.command == "instability" or (
-            cfg.spectrum.method == "dense"
-            and (args.command == "spectrum" or getattr(args, "trajectory", False))
+        if cfg.spectrum.method == "dense" and (
+            args.command in ("spectrum", "instability") or getattr(args, "trajectory", False)
         ):
-            # instability's linear reference is the section at n/3, whatever
-            # the method.  A shear is x1-invariant, so its largest block is one
-            # k1 chain; a custom-file state is known only once read: it counts
-            # as one block of M
-            K = None if args.command == "instability" else cfg.spectrum.K
-            w = 2 * (K or GridSpec(cfg.grid.n).dealias_radius) + 1
+            # a shear is x1-invariant, so its largest block is one k1 chain; a
+            # custom-file state is known only once read: it counts as one block of M
+            w = 2 * (cfg.spectrum.K or GridSpec(cfg.grid.n).dealias_radius) + 1
             check_dense_cap(w if cfg.steady.kind == "shear" else w**2 - 1)
         if args.command == "steady":
             return cmd_steady(cfg, out)

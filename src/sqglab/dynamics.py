@@ -8,10 +8,10 @@ advection and force explicit), and the one time loop, `integrate` (CFL step,
 landing on observation times, finite check, gradient guard), which steps one
 field in either mode.  `evolve` returns a run's series, one array per
 `observed_norms` key; `growth.run_perturbation` iterates `integrate` and
-compares each yield with the linear reference, which it takes from the
-exponential of `linop`'s dense section, not from this loop.  A caller that
-watches the fields of a run iterates `integrate` itself.  The kernel, the
-step and the loop work on rfft2 half-spectra (see `spectral`); the public
+compares each yield with the linear reference, the closed form
+Re(e^{mu t} phi) of the eigenpair, not a second run of this loop.  A caller
+that watches the fields of a run iterates `integrate` itself.  The kernel,
+the step and the loop work on rfft2 half-spectra (see `spectral`); the public
 functions take and return full coefficients and convert at their boundary.
 A steady state is theta0 and f; its velocity q0 and gradient come from the
 kernel's own symbols.

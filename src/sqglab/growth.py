@@ -2,13 +2,11 @@
 d_t theta = L theta + N(theta), measure L2 growth against exp(lambda t),
 estimate escape times, and regress the escape-time law against ln(1/eps).
 
-Each run records the Duhamel residual ||theta(t) - e^{Lt} eps phi||, which
+Each run records the Duhamel residual ||theta(t) - e^{Lt} theta(0)||, which
 isolates the nonlinear part.  The run is `dynamics.integrate`, the time loop
-`dynamics.evolve` uses, on the perturbation alone; the linear reference
-e^{Lt} eps phi is exact: eps Re(phi) lies on the alias-free modes, where L is
-the dense section at K = n/3 (`linop.assemble_dense`), and each observation
-interval advances it by the section's block exponentials.  Its series is that
-of `dynamics.evolve` plus the duhamel_residual column.
+`dynamics.evolve` uses, on the perturbation alone; the linear reference is
+closed-form: L is real and L phi = mu phi, so e^{Lt} Re(phi) = Re(e^{mu t} phi).
+Its series is that of `dynamics.evolve` plus the duhamel_residual column.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .dynamics import PERTURBATION, StepperConfig, SteadyState, integrate, to_series
 from .errors import DomainError, FitError
-from .linop import DenseSection, LinearOperator, SpectrumResult, assemble_dense
+from .linop import SpectrumResult
 from .spectral import SpectralField, mirror, norm_l2, real_imag_halves
 
 
@@ -33,10 +31,6 @@ class ExperimentConfig:
     t_max: float | None = None            # default 3 (1/lam) ln(1/eps_min)
     observe_every: float = 0.05
     stepper: StepperConfig = field(default_factory=lambda: StepperConfig(cfl=0.4, dt_max=0.02))
-    # L on the alias-free modes, from the steady state (the spectrum may come
-    # from elsewhere), and e^{L observe_every}, which every run shares
-    section: DenseSection = field(init=False, repr=False, compare=False)
-    cadence: DenseSection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = list(self.epsilons)
@@ -53,8 +47,6 @@ class ExperimentConfig:
             if lam <= 0:
                 raise DomainError("t_max must be given when the spectrum is stable")
             self.t_max = 3.0 / lam * np.log(1.0 / min(eps))
-        self.section = assemble_dense(LinearOperator(self.steady), self.steady.grid.dealias_radius)
-        self.cadence = self.section.expm(self.observe_every)
 
 
 @dataclass
@@ -100,28 +92,41 @@ def real_eigenfunction(spectrum: SpectrumResult) -> SpectralField:
     return out
 
 
+def linear_reference(spectrum: SpectrumResult):
+    """t -> the coefficients of e^{Lt} psi, psi = `real_eigenfunction`.
+
+    L is real and L phi = mu phi, so e^{Lt} psi = Re(e^{mu t} phi) scaled as
+    psi is: for mu = lam + i w, e^{lam t} (cos(w t) psi - sin(w t) chi), chi
+    the same multiple of Im(phi).  It is exact only to the spectrum's own
+    reported residual ||L phi - mu phi||."""
+    phi = spectrum.eigenfunction
+    psi = real_eigenfunction(spectrum).coeffs
+    re, im = (mirror(h, phi.grid.n) for h in real_imag_halves(phi.coeffs))
+    chi = im * (norm_l2(phi) / norm_l2(SpectralField(phi.grid, re)))
+    lam, w = spectrum.rightmost.real, spectrum.rightmost.imag
+    return lambda t: np.exp(lam * t) * (np.cos(w * t) * psi - np.sin(w * t) * chi)
+
+
 def run_perturbation(config: ExperimentConfig, epsilon: float) -> GrowthRecord:
     """Evolve the perturbation dynamics from eps * Re(phi) until escape or
-    t_max, compare it with the linear solution, and fit the growth rate."""
+    t_max, compare it with the linear solution, and fit the growth rate.  The
+    linear solution is `linear_reference`, exact to the spectrum's own
+    reported residual ||L phi - mu phi||, so an eigenpair computed on another
+    grid leaves its own error in duhamel_residual."""
     if epsilon < 0 or epsilon > 1:
         raise DomainError("epsilon must lie in [0, 1]")
     steady = config.steady
     lam = config.spectrum.rightmost.real
-    psi = real_eigenfunction(config.spectrum)
-    linear = epsilon * psi.coeffs
-    t_linear = 0.0
+    reference = linear_reference(config.spectrum)
     rows: list[dict[str, float]] = []
     envelope_time = None
     run = integrate(
-        steady, PERTURBATION, linear, 0.0, config.t_max, config.stepper, config.observe_every
+        steady, PERTURBATION, epsilon * real_eigenfunction(config.spectrum).coeffs, 0.0,
+        config.t_max, config.stepper, config.observe_every,
     )
     for c, norms in run:
         t, l2 = norms["t"], norms["l2"]
-        if t > t_linear:  # a cadence interval, or the shorter landing on t_max
-            dt = t - t_linear
-            landing = dt < config.observe_every - 1e-12
-            linear = (config.section.expm(dt) if landing else config.cadence).apply(linear)
-            t_linear = t
+        linear = epsilon * reference(t)
         norms["duhamel_residual"] = norm_l2(SpectralField(steady.grid, c - linear))
         rows.append(norms)
         if (

@@ -1,8 +1,8 @@
 """The linearized operator L theta = -q0.grad(theta) - q.grad(theta0) - Lambda(theta)
 about a steady state, its shifted version L - shift, dense truncated assembly,
-rightmost-eigenpair computation, and the linear semigroup: stepped by IF-RK4
-(`evolve_linear`), or exact as the block exponentials of the dense section
-(`DenseSection.expm`), which give growth experiments their linear reference.
+rightmost-eigenpair computation, and the linear semigroup, stepped by IF-RK4
+(`evolve_linear`).  Growth experiments take their linear reference from the
+eigenpair itself, not from this semigroup (see `growth.run_perturbation`).
 
 L is applied through `dynamics.advection`, the kernel the time stepper uses,
 in its linearized variant, and the semigroup is stepped by the same
@@ -15,11 +15,8 @@ assembled a k2 column at a time, held as its 2K + 1 diagonal k1-blocks of
 size at most 2K + 1 (a `DenseSection`; the M x M matrix is never formed) and
 eigensolved block by block in k1, the Fourier-chain structure of Meshalkin &
 Sinai.  Otherwise the section is one block of size M.  The dense cap bounds
-the largest block.  The kernel masks its output to the alias-free modes, so
-at K = n/3 the section is L - shift on them exactly, and e^{t (L - shift)}
-of alias-free data is exp(t A) of each block A.  Grids too large to assemble
-use ARPACK on the matrix-free propagator e^{tau (L - shift)} instead, over
-the same mode index.
+the largest block.  Grids too large to assemble use ARPACK on the
+matrix-free propagator e^{tau (L - shift)} instead, over the same mode index.
 
 The kernel and the step work on half-spectra of real fields.  L is real, so
 a complex field (basis probe, ARPACK vector, eigenfunction) goes through them
@@ -29,7 +26,6 @@ as the pair of its real and imaginary parts, two slots of one stack, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -141,60 +137,14 @@ def _blocks(op: LinearOperator, K: int) -> tuple[np.ndarray, np.ndarray]:
 class DenseSection:
     """The dense section as its diagonal blocks in mode order: k1 = -K, ..., K
     for an x1-invariant theta0, else one block of size M.  Entries between
-    different blocks are exact zeros.  index holds the array indices of the
-    modes (`mode_index`)."""
+    different blocks are exact zeros."""
 
     blocks: list[np.ndarray]
-    index: tuple[np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
         M = sum(len(b) for b in self.blocks)
         return M, M
-
-    def expm(self, t: float) -> DenseSection:
-        """e^{t A} of each block A."""
-        return DenseSection([_expm(t * b) for b in self.blocks], self.index)
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """The section times the coefficients of c on its modes, as full
-        coefficients, zero off them; one einsum per block, since a BLAS call
-        per block costs more than it computes."""
-        v, out = c[self.index], np.zeros_like(c)
-        parts = np.split(v, np.cumsum([len(b) for b in self.blocks])[:-1])
-        out[self.index] = np.concatenate(
-            [np.einsum("ij,j->i", b, x) for b, x in zip(self.blocks, parts)]
-        )
-        return out
-
-
-# the degree-13 Pade approximant to exp (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 2005), accurate to double precision up to the 1-norm _THETA13
-_PADE13 = [
-    math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)
-]
-_THETA13 = 5.371920351148152
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring, in numpy: importing scipy.linalg costs
-    more time and memory than a sweep's exponentials."""
-    norm = np.linalg.norm(a, 1)
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    b, a = _PADE13, a / 2.0**s
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6, ident = a2 @ a4, np.eye(len(a))
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
-        + b[1] * ident
-    )
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
-    v += b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
 
 
 def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> DenseSection:
@@ -230,7 +180,7 @@ def assemble_dense(op: LinearOperator, K: int, cap: int = DENSE_CAP_DEFAULT) -> 
         for s, b in zip(segments, blocks):
             in_chunk = (probe[s] >= start) & (probe[s] < stop)
             b[:, in_chunk] = out[probe[s[in_chunk]] - start, rows[s, None], cols[s, None]]
-    return DenseSection(blocks, (rows, cols))
+    return DenseSection(blocks)
 
 
 @dataclass

@@ -28,8 +28,8 @@ def run_python(code):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # ARPACK and the block exponentials are imported lazily, by the functions
-    # that call them
+    # ARPACK is imported lazily, by the function that calls it, and nothing in
+    # the program needs scipy.linalg
     code = (
         "import sys, sqglab.cli; "
         "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg')"
@@ -346,7 +346,7 @@ def test_cmd_jobs_clamped_to_epsilons(tmp_path, monkeypatch):
     assert seen == [4]
 
 
-def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path, capsys):
+def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path, capsys, monkeypatch):
     # a custom-file state at n = 108 without [spectrum] k: K = 36, and the
     # state is checked as one block of the dense dimension 5328 > 5000
     g = GridSpec(108)
@@ -357,17 +357,24 @@ def test_cmd_dense_spectrum_over_cap_fails_before_computing(tmp_path, capsys):
         "kind = shear\nm = 1\namplitude = 2e-4", f"kind = custom-file\nfile = {field}"
     )
     cfg = write_config(tmp_path / "m.ini", text)
-    # instability needs the n/3 section for its linear reference, whatever the method
-    power = write_config(tmp_path / "p.ini", text + "[spectrum]\nmethod = power\n")
-    cases = (
-        (cfg, ["spectrum"]), (cfg, ["instability"]), (cfg, ["modulus", "--trajectory"]),
-        (power, ["instability"]),
-    )
+    cases = ((cfg, ["spectrum"]), (cfg, ["instability"]), (cfg, ["modulus", "--trajectory"]))
     for config, args in cases:
         out = tmp_path / "o"
         assert main([args[0], "--config", config, "--out", str(out)] + args[1:]) == 2
         assert not out.exists()
         assert "exceeds cap 5000" in capsys.readouterr().err
+
+    # the power method assembles no section: instability gets past validation
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "_build_steady", reached)
+    power = write_config(tmp_path / "p.ini", text + "[spectrum]\nmethod = power\n")
+    with pytest.raises(Reached):
+        main(["instability", "--config", power, "--out", str(tmp_path / "o")])
 
 
 def test_cmd_out_that_is_a_file_fails_before_computing(tmp_path, monkeypatch):

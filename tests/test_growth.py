@@ -1,5 +1,7 @@
 """Instability experiments: growth-rate fitting, escape times, sweep law."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,16 @@ def lab():
 def make_config(ss, spec, epsilons, **kw):
     kw.setdefault("stepper", StepperConfig(cfl=0.4, dt_max=0.02))
     return ExperimentConfig(steady=ss, spectrum=spec, epsilons=epsilons, **kw)
+
+
+def test_config_pickles_small():
+    # `instability --jobs` sends the config to every worker: it carries the
+    # steady state and the spectrum, no operator matrices
+    g = GridSpec(64)
+    ss = shear_steady_state(g, m=2, amplitude=10.0)
+    spec = rightmost_eigenpair(LinearOperator(ss))
+    cfg = make_config(ss, spec, [1e-2, 1e-3, 1e-4, 1e-5])
+    assert len(pickle.dumps(cfg)) < 1_000_000
 
 
 def test_fit_growth_rate_pure_exponential():
@@ -122,8 +134,8 @@ def test_run_zero_epsilon_is_fixed_point(lab):
 
 
 def test_run_perturbation_matches_evolve():
-    # the co-evolved linear slot must not change the perturbation it rides
-    # with, bit for bit: `modulus --trajectory` steps the perturbation alone
+    # the run is the perturbation alone, bit for bit as `evolve` steps it, and
+    # its linear reference starts from the same data
     g = GridSpec(24)
     ss = shear_steady_state(g, m=2, amplitude=10.0)
     spec = rightmost_eigenpair(LinearOperator(ss), K=g.dealias_radius)
@@ -134,6 +146,7 @@ def test_run_perturbation_matches_evolve():
     assert rec.t.size == 21
     for key, column in res.series.items():
         assert np.array_equal(rec.series[key], column), key
+    assert rec.series["duhamel_residual"][0] == 0.0
 
 
 @pytest.fixture(scope="module")
