@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -202,6 +201,15 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _pool(workers: int):
+    """A pool of `workers` processes.  concurrent.futures.process and
+    multiprocessing are imported here, so only a run with --jobs > 1 loads
+    them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
     steady = _build_steady(cfg)
     spectrum = _build_spectrum(cfg, steady)
@@ -228,7 +236,7 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         _write_series(out / _series_name(rec.epsilon), rec.series)
         return 0
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(exp.epsilons))) as pool:
+        with _pool(min(jobs, len(exp.epsilons))) as pool:
             records = list(pool.map(partial(run_perturbation, exp), exp.epsilons))
         report = epsilon_sweep(exp, records=records)
     else:

@@ -19,10 +19,12 @@ The bound functionals are Kiselev-Nazarov-Volberg's (Invent. Math. 167,
 2007).  The advection bound Omega_B is in closed form: its head integral is
 elementary, and its tail integral above the seam reduces to the exponential
 integral E1 at arguments >= 4, which a continued fraction gives to rounding.
-The dissipation bound M_B is two integrals over pieces split at the kinks of
-omega_B, each by one vectorised tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
-1974), plus an analytic tail bounded by concavity.  The rule halves its step
-until successive levels agree to tol max(1, |I|); M_B's reported
+The dissipation bound M_B takes a float or an array of points: it is two
+integrals over pieces split at the kinks of omega_B, each by one tanh-sinh
+rule (Takahasi & Mori, Publ. RIMS 9, 1974) with one row per point, plus an
+analytic tail bounded by concavity.  The rule runs level by level over all
+rows at once, and each row halves its step until its successive levels agree
+to tol max(1, |I|), after which it is not evaluated again; M_B's reported
 error is the sum of those halving estimates and the tail bound, and Omega_B's
 is 0.  No scipy module is imported.
 
@@ -35,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .spectral import SpectralField, inverse
+from .spectral import GridSpec, SpectralField, inverse
 
 #: Torus diameter, fixed throughout.
 TORUS_DIAMETER = 2.0 * math.pi * math.sqrt(2.0)
@@ -164,45 +167,72 @@ def Omega_B(params: ModulusParams, xi: float) -> float:
 _T_MAX = 3.5
 _LEVELS = range(3, 12)
 
+#: Most nodes one call of the integrand sees: a level with more is split into
+#: runs of whole pieces, which bounds the rule's memory at any tol.
+_NODE_CHUNK = 1 << 14
+
 
 def _tanh_sinh(f, points, tol):
-    """Integral of the array function f over [points[0], points[-1]], split at
-    the points, by the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974):
-    eta = a + (b - a) / (1 + exp(-pi sinh t)) on each piece, trapezoid in t,
-    every piece and node of a level in one call of f.  Each node is formed
+    """Integrals of the array function f over [points[..., 0], points[..., -1]],
+    split at the points, by the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
+    1974): eta = a + (b - a) / (1 + exp(-pi sinh t)) on each piece, trapezoid
+    in t.  points is one row of split points (1-D; f(x) takes the nodes) or
+    one row per integral (2-D; f(x, rows) also takes each node's row), and
+    zero-length pieces are skipped.  All pieces and nodes of a level, over
+    every row still refining, go through f together.  Each node is formed
     from its distance to the nearer end, so f is never asked for a point
     outside [a, b], and nodes near an end at 0 keep their relative precision.
 
-    The step h = 2^-level halves (reusing the nodes so far) until the halving
-    estimate |I_h - I_2h| meets tol max(1, |I_h|), or the last level;
-    returns (I_h, |I_h - I_2h|).  Raises QuadratureError on a non-finite sum.
+    Each row halves its step h = 2^-level (reusing the nodes so far) until
+    its halving estimate |I_h - I_2h| meets tol max(1, |I_h|), or the last
+    level; a row that has stopped is not evaluated again.  Returns
+    (I_h, |I_h - I_2h|): floats for 1-D points, one entry per row for 2-D.
+    Raises QuadratureError on a non-finite sum.
     """
-    a = np.asarray(points[:-1], dtype=float)
-    b = np.asarray(points[1:], dtype=float)
-    a, b = a[b > a, None], b[b > a, None]
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        value, estimate = _tanh_sinh(lambda x, rows: f(x), points[None], tol)
+        return float(value[0]), float(estimate[0])
+    n_rows = len(points)
+    a, b = points[:, :-1], points[:, 1:]
+    live = b > a
+    row = np.nonzero(live)[0]  # each piece's row, pieces in row order
+    a, b = a[live], b[live]
     span = b - a
 
-    def nodes_sum(t):
+    def nodes_sum(t, refining):
         # c is the node's distance from the nearer end over the length;
         # 1 - c = e c without cancellation
         e = np.exp(np.pi * np.sinh(t))
         c = 1.0 / (1.0 + e)
-        w = span * (np.pi * np.cosh(t) * c * (e * c))
-        d = span * c
-        fx = f(np.concatenate([a + d, b - d]))
-        return float(np.sum(w * (fx[: len(a)] + fx[len(a) :])))
+        w_t = np.pi * np.cosh(t) * c * (e * c)
+        pieces = np.flatnonzero(refining[row])
+        per_run = max(1, _NODE_CHUNK // (2 * t.size))
+        sums = np.zeros(n_rows)
+        for lo in range(0, pieces.size, per_run):
+            run = pieces[lo : lo + per_run]
+            sp = span[run, None]
+            d = sp * c
+            at = np.repeat(row[run], t.size)
+            fx = f(np.concatenate([(a[run, None] + d).ravel(), (b[run, None] - d).ravel()]),
+                   np.concatenate([at, at])).reshape(2, run.size, t.size)
+            sums += np.bincount(row[run], np.sum(sp * w_t * (fx[0] + fx[1]), axis=1), n_rows)
+        return sums
 
     h = 2.0 ** -_LEVELS[0]
-    total = float(np.sum(0.25 * np.pi * span * f(a + 0.5 * span)))
-    total += nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1))
-    value, estimate = h * total, math.inf
+    refining = np.ones(n_rows, bool)
+    total = np.bincount(row, 0.25 * np.pi * span * f(a + 0.5 * span, row), n_rows)
+    total = total + nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1), refining)
+    value, estimate = h * total, np.full(n_rows, math.inf)
     for _ in _LEVELS[1:]:
         h *= 0.5
-        total += nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1, 2))
-        value, estimate = h * total, abs(h * total - value)
-        if not math.isfinite(value):
+        total += nodes_sum(h * np.arange(1, int(_T_MAX / h) + 1, 2), refining)
+        estimate = np.where(refining, np.abs(h * total - value), estimate)
+        value = np.where(refining, h * total, value)
+        if not np.all(np.isfinite(value[refining])):
             raise QuadratureError("quadrature produced a non-finite value")
-        if estimate <= tol * max(1.0, abs(value)):
+        refining &= ~(estimate <= tol * np.maximum(1.0, np.abs(value)))
+        if not refining.any():
             break
     return value, estimate
 
@@ -216,18 +246,20 @@ def _pow32_second(w):
     return 2.0 * (c - d * (1.0 + c))
 
 
-def _second_diff_s(params: ModulusParams, s: float, u: np.ndarray) -> np.ndarray:
+def _second_diff_s(params: ModulusParams, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     """omega(s+2u) + omega(s-2u) - 2 omega(s) without catastrophic
-    cancellation, for an array of 0 < 2u <= s (unscaled units)."""
+    cancellation, for arrays of 0 < 2u <= s of one shape (unscaled units)."""
     de, ga = params.delta_mod, params.gamma_mod
     out = np.empty_like(u)
     # first branch: the linear parts cancel exactly
     first = s + 2 * u <= de
-    out[first] = -(s**1.5) * _pow32_second(2 * u[first] / s)
+    sf = s[first]
+    out[first] = -(sf**1.5) * _pow32_second(2 * u[first] / sf)
     # log-log branch: log1p(a) + log1p(b) - 2 log1p(c) via exact algebra
     loglog = s - 2 * u >= de
-    w = 2 * u[loglog] / s
-    L = math.log(s / de)
+    sl = s[loglog]
+    w = 2 * u[loglog] / sl
+    L = np.log(sl / de)
     log_m = np.log1p(-w * w)
     q = 0.25 * log_m
     r = (L * log_m + np.log1p(w) * np.log1p(-w)) / 16.0
@@ -236,59 +268,63 @@ def _second_diff_s(params: ModulusParams, s: float, u: np.ndarray) -> np.ndarray
     # straddling the seam: the corner jump dominates and direct evaluation
     # is accurate where the value matters
     straddle = ~(first | loglog)
-    us = u[straddle]
-    out[straddle] = (
-        omega(params, s + 2 * us) + omega(params, s - 2 * us) - 2.0 * omega(params, s)
-    )
+    ss, us = s[straddle], u[straddle]
+    out[straddle] = omega(params, ss + 2 * us) + omega(params, ss - 2 * us) - 2.0 * omega(params, ss)
     return out
 
 
-def M_B_with_error(params: ModulusParams, xi: float, tol: float = 1e-11):
-    """Dissipation bound (negative): the two singular-kernel integrals of the
-    one-dimensional reduction of Lambda along the segment between the pair,
-    by the tanh-sinh rule over pieces split at the kinks of omega_B, plus an
-    analytic tail.  Each rule stops once its halving estimate is within
-    tol max(1, |I|); the error is the sum of those estimates and the tail's
-    bound."""
-    if xi <= 0:
+def M_B_with_error(params: ModulusParams, xi, tol: float = 1e-11):
+    """Dissipation bound (negative) at xi, a float or an array: the two
+    singular-kernel integrals of the one-dimensional reduction of Lambda along
+    the segment between the pair, by the tanh-sinh rule over pieces split at
+    the kinks of omega_B, plus an analytic tail.  Every point is one row of
+    each rule, so a whole grid takes two calls of _tanh_sinh; each row stops
+    once its halving estimate is within tol max(1, |I|), and its error is the
+    sum of those estimates and the tail's bound.  A point at the seam returns
+    (-inf, 0)."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi <= 0):
         raise DomainError("M_B requires xi > 0")
     B, seam = params.B, params.seam
-    ob_xi = omega_B(params, xi)
 
     # a corner of omega_B exactly at xi makes the first integral diverge to
     # -infinity (concavity kink); report it as such
-    if abs(B * xi - params.delta_mod) <= 1e-12 * params.delta_mod:
-        return -np.inf, 0.0
+    at_seam = np.abs(B * xi - params.delta_mod) <= 1e-12 * params.delta_mod
+    value, error = np.full(xi.shape, -np.inf), np.zeros(xi.shape)
+    x = xi[~at_seam]
+    s, ob_x, half = B * x, omega_B(params, x), x / 2.0
 
-    s = B * xi
+    def f1(eta, rows):
+        return _second_diff_s(params, s[rows], B * eta) / eta**2
 
-    def f1(eta):
-        return _second_diff_s(params, s, B * eta) / eta**2
+    # split at the corner |xi - seam| / 2 where it lies inside (0, xi/2)
+    corner = np.minimum(0.5 * np.abs(x - seam), half)
+    v1, e1 = _tanh_sinh(f1, np.stack([np.zeros_like(x), corner, half], axis=1), tol)
 
-    corner = 0.5 * abs(xi - seam)
-    kinks1 = [c for c in (corner,) if 0.0 < c < xi / 2.0]
-    v1, e1 = _tanh_sinh(f1, [0.0] + kinks1 + [xi / 2.0], tol)
+    big_t = 100.0 * np.maximum(np.maximum(x, seam), 1.0)
 
-    big_t = 100.0 * max(xi, seam, 1.0)
-
-    def f2(eta):
+    def f2(eta, rows):
+        xr = x[rows]
         return (
-            omega(params, B * (2 * eta + xi))
-            - omega(params, B * (2 * eta - xi))
-            - 2.0 * ob_xi
+            omega(params, B * (2 * eta + xr))
+            - omega(params, B * (2 * eta - xr))
+            - 2.0 * ob_x[rows]
         ) / eta**2
 
-    kinks2 = [c for c in ((seam - xi) / 2.0, (seam + xi) / 2.0) if xi / 2.0 < c < big_t]
-    pieces = [xi / 2.0] + sorted(set(kinks2)) + [big_t]
-    v2, e2 = _tanh_sinh(f2, pieces, tol)
+    # split at the kinks (seam -+ xi) / 2 where they lie inside (xi/2, big_t)
+    kinks = [np.clip(k, half, big_t) for k in ((seam - x) / 2.0, (seam + x) / 2.0)]
+    v2, e2 = _tanh_sinh(f2, np.stack([half, *kinks, big_t], axis=1), tol)
     # analytic tail: the -2 omega_B(xi) part integrates exactly; the increment
     # part is nonnegative and bounded via concavity
-    v2 += -2.0 * ob_xi / big_t
-    diff_bound = 2.0 * xi * omega_B_prime(params, 2 * big_t - xi) / big_t
+    v2 += -2.0 * ob_x / big_t
+    diff_bound = 2.0 * x * omega_B_prime(params, 2 * big_t - x) / big_t
     v2 += 0.5 * diff_bound
     e2 += 0.5 * diff_bound
 
-    return (v1 + v2) / math.pi, (e1 + e2) / math.pi
+    value[~at_seam], error[~at_seam] = (v1 + v2) / math.pi, (e1 + e2) / math.pi
+    if xi.ndim == 0:
+        return float(value), float(error)
+    return value, error
 
 
 def M_B(params: ModulusParams, xi: float) -> float:
@@ -446,12 +482,10 @@ def verify_inequality(
         raise DomainError("xi grid must lie in (0, d]")
     f_linf, f_grad = f_norms
 
-    # Omega_B and M_B are per point: E1's continued fraction stops per
-    # argument and the tanh-sinh rule refines per point
-    adv, _, dis, errs = np.array(
-        [Omega_B_with_error(params, xi) + M_B_with_error(params, xi, tol)
-         for xi in xi_grid.tolist()]
-    ).reshape(-1, 4).T
+    # Omega_B is per point, since E1's continued fraction stops per argument;
+    # M_B takes the whole grid, each point refining as its own row
+    adv = np.array([Omega_B_with_error(params, xi)[0] for xi in xi_grid.tolist()])
+    dis, errs = M_B_with_error(params, xi_grid, tol)
     advection = adv * omega_B_prime(params, xi_grid)
     force = F_B(params, xi_grid, f_linf, f_grad)
     lhs = advection + dis + force
@@ -487,6 +521,28 @@ def verify_inequality(
 
 # -- empirical modulus ------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _pair_sample(n: int, n_random_pairs: int, seed: int, max_offset: int):
+    """The pairs empirical_modulus checks on an n x n grid: the short-range
+    offsets (o1, o2) and their lengths, and the long-range pairs as flat
+    indices (a, b) and their separations.  Read-only, since every call with
+    the same arguments shares them."""
+    dx = GridSpec(n).dx
+    o1, o2 = np.mgrid[0 : max_offset + 1, -max_offset : max_offset + 1].reshape(2, -1)
+    near = ((o1 > 0) | (o2 > 0)) & (o1 * o1 + o2 * o2 <= max_offset**2)
+    o1, o2 = o1[near], o2[near]
+
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 2 * n, size=(4, n_random_pairs))
+    sep = np.hypot(idx[0] - idx[2], idx[1] - idx[3]) * dx
+    keep = sep > 0
+    i1, i2, j1, j2 = idx[:, keep] % n
+    sample = (o1, o2, np.hypot(o1, o2) * dx, i1 * n + i2, j1 * n + j2, sep[keep])
+    for arr in sample:
+        arr.setflags(write=False)
+    return sample
+
+
 def empirical_modulus(
     theta: SpectralField,
     params: ModulusParams,
@@ -497,23 +553,21 @@ def empirical_modulus(
     """Worst |Theta(x) - Theta(y)| / omega_B(|x - y|) over sampled pairs.
 
     Short range: every grid-pair offset with |o| <= max_offset cells (the
-    binding scale, where the slope B is tested).  Long range: seeded random
-    pairs on the periodic extension over [-2pi, 2pi]^2.
+    binding scale, where the slope B is tested), each a view into one
+    wrap-padded copy of the field.  Long range: seeded random pairs on the
+    periodic extension over [-2pi, 2pi]^2.  The pairs depend only on the grid
+    and the arguments, so they are drawn once (_pair_sample) and each call
+    does one inverse transform, two gathers and one omega_B.
     """
-    g = theta.grid
+    n = theta.grid.n
+    o1, o2, dist, a, b, sep = _pair_sample(n, n_random_pairs, seed, max_offset)
     v = inverse(theta).values
-    dx = g.dx
-    o1, o2 = np.mgrid[0 : max_offset + 1, -max_offset : max_offset + 1].reshape(2, -1)
-    near = ((o1 > 0) | (o2 > 0)) & (o1 * o1 + o2 * o2 <= max_offset**2)
-    o1, o2 = o1[near], o2[near]
-    diffs = [np.max(np.abs(v - np.roll(v, o, axis=(0, 1)))) for o in zip(-o1, -o2)]
-    short = np.array(diffs) / omega_B(params, np.hypot(o1, o2) * dx)
+    m = max_offset
+    wrapped = np.pad(v, m, mode="wrap")
+    diffs = [np.max(np.abs(v - wrapped[m + i : m + i + n, m + j : m + j + n]))
+             for i, j in zip(o1.tolist(), o2.tolist())]
+    short = np.array(diffs) / omega_B(params, dist)
 
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, 2 * g.n, size=(4, n_random_pairs))
-    sep = np.hypot(idx[0] - idx[2], idx[1] - idx[3]) * dx
-    keep = sep > 0
-    va = v[idx[0][keep] % g.n, idx[1][keep] % g.n]
-    vb = v[idx[2][keep] % g.n, idx[3][keep] % g.n]
-    ratios = np.abs(va - vb) / omega_B(params, sep[keep])
+    flat = v.ravel()
+    ratios = np.abs(flat[a] - flat[b]) / omega_B(params, sep)
     return float(max(np.max(short, initial=0.0), np.max(ratios, initial=0.0)))

@@ -38,6 +38,16 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert run_python(code) == "[]"
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool is imported by the function that builds it, for --jobs > 1 only
+    code = (
+        "import sys, sqglab.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])"
+    )
+    assert run_python(code) == "[]"
+
+
 def test_cmd_modulus_leaves_scipy_quadrature_unloaded(tmp_path):
     # the bound functionals are a closed form and one tanh-sinh rule
     config = ROOT / "configs" / "modulus_small.ini"
@@ -336,7 +346,7 @@ def test_cmd_jobs_clamped_to_epsilons(tmp_path, monkeypatch):
             seen.append(max_workers)
             raise Stop
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_pool", FakePool)
     cfg = steady_ini(
         tmp_path, n=24, m=2, amplitude=10.0,
         extra="[experiment]\nepsilons = 1e-2,1e-3,1e-4,1e-5\n",
@@ -473,7 +483,7 @@ def test_cmd_short_sweep_fails_before_computing(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("reached computation")
 
-    for name in ("_build_steady", "_build_spectrum", "ProcessPoolExecutor"):
+    for name in ("_build_steady", "_build_spectrum", "_pool"):
         monkeypatch.setattr(cli, name, never)
     cfg = steady_ini(
         tmp_path, n=24, m=2, amplitude=10.0, extra="[experiment]\nepsilons = 1e-2,1e-3\n"
@@ -489,7 +499,7 @@ def test_cmd_epsilons_sharing_a_series_file_fail_before_computing(tmp_path, monk
     def never(*args, **kwargs):
         raise AssertionError("reached computation")
 
-    for name in ("_build_steady", "_build_spectrum", "ProcessPoolExecutor"):
+    for name in ("_build_steady", "_build_spectrum", "_pool"):
         monkeypatch.setattr(cli, name, never)
     out = tmp_path / "o"
     for eps in ("1e-2,1e-2,1e-3,1e-4", "1.00004e-2,1e-2,1e-3,1e-4"):

@@ -35,6 +35,7 @@ from sqglab.spectral import (
     GridSpec,
     SpectralField,
     from_values,
+    inverse,
     meshgrid,
     norm_linf,
     norm_linf_grad,
@@ -293,6 +294,26 @@ def test_M_B_seam_corner_is_minus_infinity():
     assert val == -np.inf and err == 0.0
 
 
+def test_M_B_on_an_array_matches_the_scalar_path():
+    # every point is its own row with its own stopping rule, so the whole
+    # grid at once gives each point's scalar result, the seam corner included
+    p = DEFAULTS
+    mixed = p.seam * np.array([0.01, 0.3, 0.9, 1.0, 1.1, 3.0, 300.0])
+    for xi, tol in ((mixed, 1e-11), (default_xi_grid(p), 0.0)):
+        assert np.any(xi < p.seam) and np.any(xi == p.seam) and np.any(xi > p.seam)
+        values, errors_ = M_B_with_error(p, xi, tol)
+        assert values.shape == errors_.shape == xi.shape
+        scalar = [M_B_with_error(p, x, tol) for x in xi.tolist()]
+        assert all(isinstance(v, float) and isinstance(e, float) for v, e in scalar)
+        ref_values, ref_errors = np.array(scalar).T
+        seam = xi == p.seam
+        assert np.all(values[seam] == -np.inf) and np.all(errors_[seam] == 0.0)
+        assert np.array_equal(ref_values[seam], values[seam])
+        assert np.array_equal(ref_errors[seam], errors_[seam])
+        for got, ref in ((values[~seam], ref_values[~seam]), (errors_[~seam], ref_errors[~seam])):
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
 # -- force bound ---------------------------------------------------------------
 
 
@@ -500,6 +521,38 @@ def test_empirical_modulus_refinement_stability(small_steady):
         theta = from_values(g, -2e-4 * np.cos(x2))
         vals.append(empirical_modulus(theta, base, n_random_pairs=400_000, seed=7))
     assert abs(vals[0] - vals[1]) < 0.01 * vals[1]
+
+
+def uncached_empirical_modulus(theta, params, n_random_pairs=100_000, seed=0, max_offset=8):
+    """The empirical modulus with a fresh draw per call: one np.roll per
+    offset and default_rng(seed).integers for the long-range pairs."""
+    g = theta.grid
+    v = inverse(theta).values
+    o1, o2 = np.mgrid[0 : max_offset + 1, -max_offset : max_offset + 1].reshape(2, -1)
+    near = ((o1 > 0) | (o2 > 0)) & (o1 * o1 + o2 * o2 <= max_offset**2)
+    o1, o2 = o1[near], o2[near]
+    diffs = [np.max(np.abs(v - np.roll(v, o, axis=(0, 1)))) for o in zip(-o1, -o2)]
+    short = np.array(diffs) / omega_B(params, np.hypot(o1, o2) * g.dx)
+    idx = np.random.default_rng(seed).integers(0, 2 * g.n, size=(4, n_random_pairs))
+    sep = np.hypot(idx[0] - idx[2], idx[1] - idx[3]) * g.dx
+    keep = sep > 0
+    va = v[idx[0][keep] % g.n, idx[1][keep] % g.n]
+    vb = v[idx[2][keep] % g.n, idx[3][keep] % g.n]
+    ratios = np.abs(va - vb) / omega_B(params, sep[keep])
+    return float(max(np.max(short, initial=0.0), np.max(ratios, initial=0.0)))
+
+
+def test_empirical_modulus_matches_uncached_reference(small_steady):
+    # the pair sample is drawn once per (n, pairs, seed, offset) and shared:
+    # two slopes and two seeds in one process must each see their own pairs
+    g, ss = small_steady
+    x1, _ = meshgrid(g)
+    theta = SpectralField(g, ss.theta0.coeffs + from_values(g, 5e-5 * np.sin(x1)).coeffs)
+    for B in (75.0, 86.73617379884035):
+        params = DEFAULTS.with_B(B)
+        got = {seed: empirical_modulus(theta, params, seed=seed) for seed in (0, 7)}
+        assert got == {seed: uncached_empirical_modulus(theta, params, seed=seed) for seed in (0, 7)}
+        assert got[0] != got[7]  # the long-range pairs set the maximum
 
 
 def test_trajectory_modulus_preserved_on_feasible_run(small_steady):

@@ -107,3 +107,19 @@ def test_probe_fallbacks_report_every_metric(tmp_path, monkeypatch):
     assert len(assembly) == 1
     assert names[assembly[0][3]] == "linop.rightmost_eigenpair"
     assert trace.counts["linop.dense_dim"] == 80
+
+
+def test_traced_verify_inequality_spans_one_M_B_call():
+    # M_B takes the whole xi grid: one span, inside verify_inequality's
+    tracer = load_by_path("tracer")
+    modulus = importlib.import_module("sqglab.modulus")
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        modulus.verify_inequality(modulus.ModulusParams(B=86.73617379884035), (2e-4, 2e-4))
+    finally:
+        trace.uninstall()
+    names = [span[0] for span in trace.spans]
+    dissipation = [span for span in trace.spans if span[0] == "modulus.M_B_with_error"]
+    assert len(dissipation) == 1
+    assert names[dissipation[0][3]] == "modulus.verify_inequality"
