@@ -30,6 +30,7 @@ from .dynamics import (
 from .errors import (
     BlowUpError,
     ConvergenceError,
+    FitError,
     QuadratureError,
     SqgLabError,
     ValidationError,
@@ -229,26 +230,29 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         observe_every=cfg.time.observe_every,
         stepper=StepperConfig(cfl=cfg.time.cfl, dt_max=cfg.time.dt_max),
     )
-    if len(exp.epsilons) == 1:
-        print("single epsilon: running one record, no regression")
-        rec = run_perturbation(exp, exp.epsilons[0])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_series(out / _series_name(rec.epsilon), rec.series)
-        return 0
-    if jobs > 1:
-        with _pool(min(jobs, len(exp.epsilons))) as pool:
-            records = list(pool.map(partial(run_perturbation, exp), exp.epsilons))
-        report = epsilon_sweep(exp, records=records)
+    workers = min(jobs, len(exp.epsilons))
+    run = partial(run_perturbation, exp)
+    if workers > 1:
+        with _pool(workers) as pool:
+            records = list(pool.map(run, exp.epsilons))
     else:
-        report = epsilon_sweep(exp)
+        records = list(map(run, exp.epsilons))
     out.mkdir(parents=True, exist_ok=True)
-    for rec in report.records:
+    for rec in records:
         _write_series(out / _series_name(rec.epsilon), rec.series)
+    if len(records) == 1:
+        print("single epsilon: running one record, no regression")
+        return 0
     columns = ("epsilon", "lambda_hat", "escape_time", "escape_norm", "max_grad_linf")
     _write_series(
         out / "sweep.csv",
-        {name: [getattr(r, name) for r in report.records] for name in columns},
+        {name: [getattr(r, name) for r in records] for name in columns},
     )
+    try:
+        report = epsilon_sweep(exp, records)
+    except FitError as exc:
+        print(f"escape-law fit failed: {exc}")
+        return 1
     rel_gap = abs(report.slope - 1.0 / lam) * lam
     _write_text(
         out / "sweep_summary.txt",

@@ -1,6 +1,7 @@
 """Nonlinear instability experiments: evolve theta(0) = eps * Re(phi) under
 d_t theta = L theta + N(theta), measure L2 growth against exp(lambda t),
-estimate escape times, and regress the escape-time law against ln(1/eps).
+estimate escape times, and regress the escape-time law against ln(1/eps)
+over the runs a caller made, one `run_perturbation` per eps (`epsilon_sweep`).
 
 Each run records the Duhamel residual ||theta(t) - e^{Lt} theta(0)||, which
 isolates the nonlinear part.  The run is `dynamics.integrate`, the time loop
@@ -229,14 +230,11 @@ def check_epsilons(eps: list[float]) -> None:
         raise DomainError("sweep needs >= 4 epsilons spanning >= 2 decades")
 
 
-def epsilon_sweep(config: ExperimentConfig, records=None) -> SweepReport:
-    """Run every epsilon, then regress escape time against ln(1/eps).  A
-    caller that runs the epsilons itself (in parallel, or reporting each as
-    it ends) passes their records."""
-    eps = config.epsilons
-    check_epsilons(eps)
-    if records is None:
-        records = [run_perturbation(config, e) for e in eps]
+def epsilon_sweep(config: ExperimentConfig, records: list[GrowthRecord]) -> SweepReport:
+    """Regress escape time against ln(1/eps) over the records of a sweep,
+    one `run_perturbation` per epsilon of config; the caller runs them, in
+    turn or in parallel.  Raises FitError when fewer than two escaped."""
+    check_epsilons(config.epsilons)
     escaped = [r for r in records if r.escape_time is not None]
     not_escaped = [r.epsilon for r in records if r.escape_time is None]
     if len(escaped) < 2:

@@ -173,26 +173,23 @@ _NODE_CHUNK = 1 << 14
 
 
 def _tanh_sinh(f, points, tol):
-    """Integrals of the array function f over [points[..., 0], points[..., -1]],
+    """Integrals of the array function f over [points[:, 0], points[:, -1]],
     split at the points, by the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
     1974): eta = a + (b - a) / (1 + exp(-pi sinh t)) on each piece, trapezoid
-    in t.  points is one row of split points (1-D; f(x) takes the nodes) or
-    one row per integral (2-D; f(x, rows) also takes each node's row), and
-    zero-length pieces are skipped.  All pieces and nodes of a level, over
-    every row still refining, go through f together.  Each node is formed
-    from its distance to the nearer end, so f is never asked for a point
-    outside [a, b], and nodes near an end at 0 keep their relative precision.
+    in t.  points holds one row of split points per integral, f(x, rows)
+    takes the nodes and each node's row, and zero-length pieces are skipped.
+    All pieces and nodes of a level, over every row still refining, go
+    through f together.  Each node is formed from its distance to the nearer
+    end, so f is never asked for a point outside [a, b], and nodes near an
+    end at 0 keep their relative precision.
 
     Each row halves its step h = 2^-level (reusing the nodes so far) until
     its halving estimate |I_h - I_2h| meets tol max(1, |I_h|), or the last
     level; a row that has stopped is not evaluated again.  Returns
-    (I_h, |I_h - I_2h|): floats for 1-D points, one entry per row for 2-D.
-    Raises QuadratureError on a non-finite sum.
+    (I_h, |I_h - I_2h|), one entry per row.  Raises QuadratureError on a
+    non-finite sum.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        value, estimate = _tanh_sinh(lambda x, rows: f(x), points[None], tol)
-        return float(value[0]), float(estimate[0])
     n_rows = len(points)
     a, b = points[:, :-1], points[:, 1:]
     live = b > a

@@ -101,7 +101,7 @@ def sweep(unstable64, spectrum64):
         stepper=StepperConfig(cfl=0.4, dt_max=0.02),
         observe_every=0.05,
     )
-    return cfg, epsilon_sweep(cfg)
+    return cfg, epsilon_sweep(cfg, [run_perturbation(cfg, e) for e in cfg.epsilons])
 
 
 def test_criterion_1_spectral_identities(g64):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -579,6 +580,60 @@ def test_cmd_instability_sweep_parallel(tmp_path):
     assert np.all(np.diff(sweep["escape_time"]) > 0)
     summary = (out / "sweep_summary.txt").read_text()
     assert "r_squared" in summary
+    # the serial sweep, the benchmark's path, writes the same bytes
+    serial = tmp_path / "serial"
+    assert main(["instability", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
+    assert output_bytes(serial) == output_bytes(out)
+
+
+def output_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def short_runs(monkeypatch):
+    # every run stops at t = 0.5, far below its threshold
+    real = cli.run_perturbation
+    monkeypatch.setattr(
+        cli, "run_perturbation", lambda exp, eps: real(replace(exp, t_max=0.5), eps)
+    )
+
+
+def guard_trips(monkeypatch):
+    # a guard factor below 1 trips at the first observation after the start
+    monkeypatch.setattr(dynamics, "GRAD_GUARD_FACTOR", 0.5)
+
+
+SERIES_FILES = [f"series_eps_1.000e-0{k}.csv" for k in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "patch,threshold,jobs,code,files,stream,message",
+    [
+        (short_runs, 1e9, "1", 1, SERIES_FILES + ["sweep.csv"], "out",
+         "escape-law fit failed: fewer than two runs escaped"),
+        (guard_trips, 0.1, "1", 3, None, "err", "gradient guard tripped at t=0.050000"),
+        (guard_trips, 0.1, "2", 3, None, "err", "gradient guard tripped at t=0.050000"),
+    ],
+    ids=["nothing-escapes", "blow-up-serial", "blow-up-jobs-2"],
+)
+def test_cmd_instability_exit_codes(
+    tmp_path, monkeypatch, capsys, patch, threshold, jobs, code, files, stream, message
+):
+    # a failed escape-law fit is a failed gate: its runs stay on disk, with no
+    # summary; a numerical failure writes nothing
+    patch(monkeypatch)
+    cfg = steady_ini(
+        tmp_path, n=16, m=2, amplitude=10.0, extra=f"[experiment]\nthreshold = {threshold}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["instability", "--config", cfg, "--out", str(out), "--jobs", jobs]) == code
+    captured = capsys.readouterr()
+    assert message in getattr(captured, stream)
+    if files is None:
+        assert not out.exists()
+        assert "\n  linf_grad = " in captured.err
+    else:
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 MODULUS_SMALL = (

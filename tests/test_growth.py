@@ -215,7 +215,7 @@ def sweep(lab):
     cfg = make_config(
         ss, spec, [1e-1, 1e-2, 1e-3, 1e-4], threshold=5.0, observe_every=0.05
     )
-    return cfg, epsilon_sweep(cfg)
+    return cfg, epsilon_sweep(cfg, [run_perturbation(cfg, e) for e in cfg.epsilons])
 
 
 def test_sweep_escape_law(lab, sweep):
@@ -249,6 +249,6 @@ def test_sweep_threshold_doubling_shift(lab, sweep):
 def test_sweep_validation(lab):
     _, ss, spec = lab
     with pytest.raises(errors.DomainError):
-        epsilon_sweep(make_config(ss, spec, [1e-1, 5e-2, 2e-2, 1e-2], t_max=1.0))
+        epsilon_sweep(make_config(ss, spec, [1e-1, 5e-2, 2e-2, 1e-2], t_max=1.0), [])
     with pytest.raises(errors.DomainError):
-        epsilon_sweep(make_config(ss, spec, [1e-1, 1e-3], t_max=1.0))
+        epsilon_sweep(make_config(ss, spec, [1e-1, 1e-3], t_max=1.0), [])

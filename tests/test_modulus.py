@@ -202,17 +202,17 @@ def test_omega_on_array_matches_mpmath():
 def test_tanh_sinh_rule_error_within_its_estimate():
     eps = np.finfo(float).eps  # the estimate cannot see rounding
 
-    def kinked(w):
+    def kinked(w, rows):
         return np.abs(w - 1.0 / 3.0)
 
     # algebraic end behaviour, as at the end of M_B's first integral
-    value, est = _tanh_sinh(lambda w: (1.0 - w) ** 1.5, [0.0, 1.0], 1e-11)
+    (value,), (est,) = _tanh_sinh(lambda w, rows: (1.0 - w) ** 1.5, [[0.0, 1.0]], 1e-11)
     assert abs(value - 0.4) <= est + 4 * eps and est <= 1e-11
     # a kink at a piece end converges to the target; inside a piece the rule
     # stops at its last level, and its estimate still bounds the error
-    value, est = _tanh_sinh(kinked, [0.0, 1.0 / 3.0, 1.0], 1e-11)
+    (value,), (est,) = _tanh_sinh(kinked, [[0.0, 1.0 / 3.0, 1.0]], 1e-11)
     assert abs(value - 5.0 / 18.0) <= est + 4 * eps and est <= 1e-11
-    value, est = _tanh_sinh(kinked, [0.0, 1.0], 1e-11)
+    (value,), (est,) = _tanh_sinh(kinked, [[0.0, 1.0]], 1e-11)
     assert 1e-11 < abs(value - 5.0 / 18.0) <= est
 
 

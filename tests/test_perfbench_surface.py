@@ -123,3 +123,28 @@ def test_traced_verify_inequality_spans_one_M_B_call():
     dissipation = [span for span in trace.spans if span[0] == "modulus.M_B_with_error"]
     assert len(dissipation) == 1
     assert names[dissipation[0][3]] == "modulus.verify_inequality"
+
+
+def test_traced_instability_spans_every_run(tmp_path):
+    # cli looks run_perturbation up when its loop starts, after the tracer
+    # rebinds it: one span and one record per epsilon
+    tracer = load_by_path("tracer")
+    cli = importlib.import_module("sqglab.cli")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[grid]\nn = 16\n[steady]\nkind = shear\nm = 2\namplitude = 10.0\n"
+        "[experiment]\nepsilons = 1e-2,1e-3,1e-4,1e-5\nthreshold = 0.1\n"
+    )
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        code = cli.main(["instability", "--config", str(config), "--out", str(tmp_path / "o"),
+                         "--jobs", "1"])
+    finally:
+        trace.uninstall()
+    assert code == 0
+    names = [span[0] for span in trace.spans]
+    runs = [span for span in trace.spans if span[0] == "growth.run_perturbation"]
+    assert len(runs) == 4
+    assert all(names[span[3]] == "cli.cmd_instability" for span in runs)
+    assert len(trace.results["records"]) == 4
