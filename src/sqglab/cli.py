@@ -75,6 +75,7 @@ def _fmt(x) -> str:
 def _write_series(path: Path, series: dict) -> None:
     """A CSV with the keys as its header and one row per index of the
     columns."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(series) + "\n")
         for row in zip(*series.values()):
@@ -86,6 +87,7 @@ def _series_name(epsilon: float) -> str:
 
 
 def _write_text(path: Path, lines: list[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -126,6 +128,7 @@ def _spectrum_gate(res: SpectrumResult) -> bool:
 
 
 def _write_field(path: Path, grid, values) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     sqgf.write_field(path, PhysicalField(grid, np.ascontiguousarray(values)))
 
 
@@ -133,7 +136,6 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
     steady = _build_steady(cfg)
     residual = steady.residual_linf()
     g = steady.grid
-    out.mkdir(parents=True, exist_ok=True)
     _write_field(out / "theta0.sqgf", g, inverse(steady.theta0).values)
     _write_field(out / "f.sqgf", g, inverse(steady.f).values)
     _write_field(out / "q0_1.sqgf", g, steady.advection_base[0])
@@ -156,7 +158,6 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     steady = _build_steady(cfg)
     res = _build_spectrum(cfg, steady)
-    out.mkdir(parents=True, exist_ok=True)
     order = np.lexsort((-res.eigenvalues.imag, -res.eigenvalues.real))
     eigenvalues = res.eigenvalues[order]
     _write_series(out / "spectrum.csv", {"re": eigenvalues.real, "im": eigenvalues.imag})
@@ -195,7 +196,6 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     result = evolve(
         state, cfg.time.t_max, stepper, observe_every=cfg.time.observe_every
     )
-    out.mkdir(parents=True, exist_ok=True)
     _write_series(out / "series.csv", result.series)
     _write_field(out / "theta_final.sqgf", g, inverse(result.state.theta).values)
     print(f"evolved to t = {result.state.t:g} ({result.series['t'].size} records)")
@@ -214,6 +214,9 @@ def _pool(workers: int):
 def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
     steady = _build_steady(cfg)
     spectrum = _build_spectrum(cfg, steady)
+    if not _spectrum_gate(spectrum):
+        print(f"spectrum gate failed: residual {spectrum.residual:.3e} ({spectrum.method})")
+        return 1
     lam = spectrum.rightmost.real
     if lam <= 0:
         print(
@@ -237,7 +240,6 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
             records = list(pool.map(run, exp.epsilons))
     else:
         records = list(map(run, exp.epsilons))
-    out.mkdir(parents=True, exist_ok=True)
     for rec in records:
         _write_series(out / _series_name(rec.epsilon), rec.series)
     if len(records) == 1:
@@ -285,7 +287,6 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
     th_norms = (norm_linf(steady.theta0), norm_linf_grad(steady.theta0))
     f_norms = (norm_linf(steady.f), norm_linf_grad(steady.f))
     sel = choose_B(th_norms, f_norms, base, theta0=steady.theta0, seed=use_seed)
-    out.mkdir(parents=True, exist_ok=True)
     if not sel.feasible:
         _write_text(
             out / "modulus_summary.txt",
@@ -300,17 +301,6 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
         return 1
     params = base.with_B(sel.B)
     report = verify_inequality(params, f_norms)
-    _write_series(
-        out / "verification.csv",
-        {
-            "xi": report.xi_grid,
-            "omega_B": report.omega_vals,
-            "Omega_B": report.advection,
-            "M_B": report.dissipation,
-            "F_B": report.force,
-            "lhs": report.lhs,
-        },
-    )
     # the gate requires both the verified inequality and a negative
     # long-range regime coefficient A*gamma + 1/(2pi) - 1/pi
     gate = report.passed and report.long_range_coefficient < 0
@@ -324,7 +314,9 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
         f"pass = {'true' if gate else 'false'}",
     ]
     code = 0 if gate else 1
+    traj = None
 
+    # every file is written last, so a numerical failure leaves no output
     if trajectory:
         # the perturbation dynamics from eps Re(phi) to t_max: the modulus is
         # checked on the full field at every observation
@@ -339,7 +331,6 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
             full = SpectralField(steady.grid, c + steady.theta0.coeffs)
             traj["t"].append(norms["t"])
             traj["modulus_ratio"].append(empirical_modulus(full, params, seed=use_seed))
-        _write_series(out / "trajectory.csv", traj)
         worst = max(traj["modulus_ratio"])
         lines.append(f"trajectory_max_ratio = {_fmt(worst)}")
         lines.append(f"trajectory_pass = {'true' if worst < 1.0 else 'false'}")
@@ -347,6 +338,15 @@ def cmd_modulus(cfg: RunConfig, out: Path, seed: int | None, trajectory: bool) -
             code = 1
         print(f"trajectory modulus ratio max {worst:.4f} over {len(traj['t'])} records")
 
+    _write_series(
+        out / "verification.csv",
+        {
+            "xi": report.xi_grid, "omega_B": report.omega_vals, "Omega_B": report.advection,
+            "M_B": report.dissipation, "F_B": report.force, "lhs": report.lhs,
+        },
+    )
+    if traj is not None:
+        _write_series(out / "trajectory.csv", traj)
     _write_text(out / "modulus_summary.txt", lines)
     print(
         f"B = {sel.B:.6g}, max lhs = {report.max_lhs:.4e} "

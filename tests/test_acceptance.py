@@ -389,9 +389,7 @@ def test_criterion_10_smoothing_probe():
     op_d = LinearOperator(ss, shift=lam + delta)
     ts = [0.01, 0.1, 0.5, 2.0]
     c6, c10 = (
-        smoothing_probe_supremum(
-            op_d, gamma, band, ts, n_samples=20, seed=0, dt_target=2e-3
-        )
+        smoothing_probe_supremum(op_d, gamma, band, ts, n_samples=20, seed=0)
         for band in (6, 10)
     )
     stable = max(c6, c10) / min(c6, c10) < 2.0

@@ -606,34 +606,40 @@ def guard_trips(monkeypatch):
 SERIES_FILES = [f"series_eps_1.000e-0{k}.csv" for k in (2, 3, 4, 5)]
 
 
+def no_patch(monkeypatch):
+    pass
+
+
 @pytest.mark.parametrize(
-    "patch,threshold,jobs,code,files,stream,message",
+    "patch,extra,jobs,code,files,stream,message",
     [
-        (short_runs, 1e9, "1", 1, SERIES_FILES + ["sweep.csv"], "out",
+        (short_runs, "threshold = 1e9\n", "1", 1, SERIES_FILES + ["sweep.csv"], "out",
          "escape-law fit failed: fewer than two runs escaped"),
-        (guard_trips, 0.1, "1", 3, None, "err", "gradient guard tripped at t=0.050000"),
-        (guard_trips, 0.1, "2", 3, None, "err", "gradient guard tripped at t=0.050000"),
+        (guard_trips, "threshold = 0.1\n", "1", 3, None, "err",
+         "gradient guard tripped at t=0.050000"),
+        (guard_trips, "threshold = 0.1\n", "2", 3, None, "err",
+         "gradient guard tripped at t=0.050000"),
+        # K = 3 < n/3 truncates the k1 chains: the dense residual is 0.486
+        (no_patch, "[spectrum]\nk = 3\n", "1", 1, None, "out",
+         "spectrum gate failed: residual 4.860e-01 (dense)"),
     ],
-    ids=["nothing-escapes", "blow-up-serial", "blow-up-jobs-2"],
+    ids=["nothing-escapes", "blow-up-serial", "blow-up-jobs-2", "spectrum-gate"],
 )
 def test_cmd_instability_exit_codes(
-    tmp_path, monkeypatch, capsys, patch, threshold, jobs, code, files, stream, message
+    tmp_path, monkeypatch, capsys, patch, extra, jobs, code, files, stream, message
 ):
     # a failed escape-law fit is a failed gate: its runs stay on disk, with no
-    # summary; a numerical failure writes nothing
+    # summary; a numerical failure, or an eigenpair failing the spectrum gate,
+    # writes nothing
     patch(monkeypatch)
-    cfg = steady_ini(
-        tmp_path, n=16, m=2, amplitude=10.0, extra=f"[experiment]\nthreshold = {threshold}\n"
-    )
+    cfg = steady_ini(tmp_path, n=16, m=2, amplitude=10.0, extra="[experiment]\n" + extra)
     out = tmp_path / "o"
     assert main(["instability", "--config", cfg, "--out", str(out), "--jobs", jobs]) == code
     captured = capsys.readouterr()
     assert message in getattr(captured, stream)
-    if files is None:
-        assert not out.exists()
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
+    if code == 3:
         assert "\n  linf_grad = " in captured.err
-    else:
-        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 MODULUS_SMALL = (
@@ -697,6 +703,41 @@ def test_cmd_modulus_trajectory(tmp_path):
     assert main(["modulus", "--config", cfg, "--out", str(out), "--trajectory"]) == 0
     rows = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
     assert np.all(rows["modulus_ratio"] < 1.0)
+
+
+def nan_quadrature(monkeypatch):
+    # a NaN in M_B's integrand only: B selection and Omega_B stay finite
+    monkeypatch.setattr(modulus, "_second_diff_s", lambda params, s, u: np.full_like(u, np.nan))
+
+
+def trajectory_guard_trips(monkeypatch):
+    # the guard is the factor times max(||grad theta||_inf, 1), and this field's
+    # gradient is about 2.5e-5
+    monkeypatch.setattr(dynamics, "GRAD_GUARD_FACTOR", 1e-6)
+
+
+@pytest.mark.parametrize(
+    "patch,config,code,files,stream,message",
+    [
+        (trajectory_guard_trips, MODULUS_TRAJECTORY, 3, None, "err",
+         "gradient guard tripped at t=0.250000"),
+        (nan_quadrature, MODULUS_TRAJECTORY, 3, None, "err",
+         "quadrature produced a non-finite value"),
+        (no_patch, MODULUS_TRAJECTORY.replace("amplitude = 2e-4", "amplitude = 1.0"), 1,
+         ["modulus_summary.txt"], "out", "no representable B satisfies"),
+    ],
+    ids=["trajectory-blow-up", "non-finite-quadrature", "infeasible-B"],
+)
+def test_cmd_modulus_exit_codes(
+    tmp_path, monkeypatch, capsys, patch, config, code, files, stream, message
+):
+    # a numerical failure writes nothing; an infeasible B writes its summary
+    patch(monkeypatch)
+    cfg = write_config(tmp_path / "m.ini", config)
+    out = tmp_path / "o"
+    assert main(["modulus", "--config", cfg, "--out", str(out), "--trajectory"]) == code
+    assert message in getattr(capsys.readouterr(), stream)
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
 
 
 def test_cmd_modulus_deterministic(tmp_path):

@@ -462,7 +462,7 @@ def test_smoothing_probe_gamma_zero_short_time(g48, unstable, unstable_dense):
     op_d = LinearOperator(unstable, shift=lam + delta)
     rng = np.random.default_rng(2)
     v = random_pert(g48, rng, kmax=4)
-    r = smoothing_probe(op_d, v, 1e-4, 0.0, dt_target=1e-5)
+    r = smoothing_probe(op_d, v, 1e-4, 0.0)
     assert abs(r - 1.0) < 1e-3
 
 
@@ -478,7 +478,7 @@ def test_smoothing_probe_eigenfunction_closed_form(g48, unstable, unstable_dense
     phi = unstable_dense.eigenfunction
     ratio_lm = norm_l2(phi) / norm_l2(lambda_pow(phi, -1.0))
     for t in (0.5, 1.0, 2.0):
-        got = smoothing_probe(op_d, phi, t, gamma, dt_target=1e-3)
+        got = smoothing_probe(op_d, phi, t, gamma)
         expect = t**gamma * np.exp(-delta * t) * ratio_lm**gamma
         assert abs(got - expect) < 1e-4 * max(expect, 1.0)
 
@@ -503,3 +503,32 @@ def test_smoothing_probe_constant_stable_under_refinement(g48, unstable, unstabl
     c10 = smoothing_probe_supremum(op_d, gamma, band=10, t_grid=ts, n_samples=6, seed=0)
     assert np.isfinite(c6) and np.isfinite(c10)
     assert max(c6, c10) / min(c6, c10) < 2.0
+
+
+def test_smoothing_probe_field_off_the_section(g48, unstable):
+    # the exact semigroup acts on the alias-free, mean-free modes only
+    op = LinearOperator(unstable, shift=1.0)
+    v = random_pert(g48, np.random.default_rng(4), kmax=4)
+    for k in ((0, 0), (17, 3)):
+        c = v.coeffs.copy()
+        c[k] = 1.0
+        with pytest.raises(errors.DomainError):
+            smoothing_probe(op, SpectralField(g48, c), 1.0, 0.5)
+
+
+def test_smoothing_probe_over_dense_cap_fails_before_any_kernel_call(monkeypatch):
+    # theta0 depends on x1, so the section at n = 106 is one block of
+    # M = 71^2 - 1 = 5040 modes, over the cap of 5000
+    from sqglab import linop
+
+    g = GridSpec(106)
+    x1, _ = meshgrid(g)
+    op = LinearOperator(make_steady(from_values(g, -10.0 * np.cos(2 * x1))), shift=1.0)
+    v = random_pert(g, np.random.default_rng(3), kmax=4)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(linop, "advection", kernel)
+    with pytest.raises(errors.ResourceError, match="5040 exceeds cap 5000"):
+        smoothing_probe(op, v, 1.0, 0.5)
