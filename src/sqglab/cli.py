@@ -251,7 +251,7 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
         {name: [getattr(r, name) for r in records] for name in columns},
     )
     try:
-        report = epsilon_sweep(exp, records)
+        report = epsilon_sweep(records)
     except FitError as exc:
         print(f"escape-law fit failed: {exc}")
         return 1
@@ -265,9 +265,9 @@ def cmd_instability(cfg: RunConfig, out: Path, jobs: int) -> int:
             f"slope_rel_gap = {_fmt(rel_gap)}",
             f"intercept = {_fmt(report.intercept)}",
             f"r_squared = {_fmt(report.r_squared)}",
-            f"threshold = {_fmt(report.threshold)}",
+            f"threshold = {_fmt(exp.threshold)}",
             f"not_escaped = {report.not_escaped}",
-            f"max_grad_linf = {_fmt(report.max_grad_linf)}",
+            f"max_grad_linf = {_fmt(max(r.max_grad_linf for r in records))}",
         ],
     )
     print(

@@ -308,7 +308,7 @@ def integrate(
         return observed_norms(EvolutionState(SpectralField(g, cc), tt, steady, mode))
 
     if not np.all(np.isfinite(c)):
-        raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
+        raise BlowUpError(f"non-finite coefficients at t={t:.6f}")
     norms = norms_at(c, t)
     guard = GRAD_GUARD_FACTOR * max(norms["linf_grad"], 1.0)
     yield c, norms
@@ -325,12 +325,12 @@ def integrate(
         h = if_rk4_step(explicit, h, dt, e1, e2, k1)
         t += dt
         if not np.all(np.isfinite(h)):
-            raise BlowUpError(f"non-finite coefficients at t={t:.6f}", t=t)
+            raise BlowUpError(f"non-finite coefficients at t={t:.6f}")
         if t >= next_obs - 1e-12 or t >= t_final - 1e-14:
             c = mirror(h, g.n)
             norms = norms_at(c, t)
             if norms["linf_grad"] > guard:
-                raise BlowUpError(f"gradient guard tripped at t={t:.6f}", t=t, diagnostics=norms)
+                raise BlowUpError(f"gradient guard tripped at t={t:.6f}", diagnostics=norms)
             yield c, norms
             next_obs = t + observe_every
 

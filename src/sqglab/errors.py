@@ -36,9 +36,8 @@ class ResourceError(SqgLabError):
 class BlowUpError(SqgLabError):
     """Time integration produced non-finite data or tripped the gradient guard."""
 
-    def __init__(self, message, t=None, diagnostics=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.t = t
         self.diagnostics = diagnostics or {}
 
 

@@ -31,7 +31,7 @@ class ExperimentConfig:
     threshold: float | None = None        # escape norm, default 0.5 ||theta0||_L2
     t_max: float | None = None            # default 3 (1/lam) ln(1/eps_min)
     observe_every: float = 0.05
-    stepper: StepperConfig = field(default_factory=lambda: StepperConfig(cfl=0.4, dt_max=0.02))
+    stepper: StepperConfig = field(default_factory=StepperConfig)
 
     def __post_init__(self):
         eps = list(self.epsilons)
@@ -65,7 +65,6 @@ class GrowthRecord:
     lambda_hat: float | None = None
     escape_time: float | None = None
     escape_norm: float | None = None
-    envelope_time: float | None = None
 
     @property
     def t(self) -> np.ndarray:
@@ -120,26 +119,18 @@ def run_perturbation(config: ExperimentConfig, epsilon: float) -> GrowthRecord:
     lam = config.spectrum.rightmost.real
     reference = linear_reference(config.spectrum)
     rows: list[dict[str, float]] = []
-    envelope_time = None
     run = integrate(
         steady, PERTURBATION, epsilon * real_eigenfunction(config.spectrum).coeffs, 0.0,
         config.t_max, config.stepper, config.observe_every,
     )
     for c, norms in run:
-        t, l2 = norms["t"], norms["l2"]
-        linear = epsilon * reference(t)
+        linear = epsilon * reference(norms["t"])
         norms["duhamel_residual"] = norm_l2(SpectralField(steady.grid, c - linear))
         rows.append(norms)
-        if (
-            envelope_time is None
-            and lam > 0
-            and l2 > epsilon * config.envelope_radius * np.exp(lam * t)
-        ):
-            envelope_time = t
-        if l2 >= config.threshold:
+        if norms["l2"] >= config.threshold:
             break
 
-    rec = GrowthRecord(epsilon=epsilon, series=to_series(rows), envelope_time=envelope_time)
+    rec = GrowthRecord(epsilon=epsilon, series=to_series(rows))
     rec.escape_time = escape_time(rec, config.threshold)
     if rec.escape_time is not None:
         rec.escape_norm = config.threshold
@@ -210,17 +201,10 @@ def escape_time(record: GrowthRecord, threshold: float) -> float | None:
 
 @dataclass
 class SweepReport:
-    records: list[GrowthRecord]
     slope: float
     intercept: float
     r_squared: float
-    lambda_spectral: float
-    threshold: float
     not_escaped: list[float]
-
-    @property
-    def max_grad_linf(self) -> float:
-        return max(r.max_grad_linf for r in self.records)
 
 
 def check_epsilons(eps: list[float]) -> None:
@@ -230,11 +214,11 @@ def check_epsilons(eps: list[float]) -> None:
         raise DomainError("sweep needs >= 4 epsilons spanning >= 2 decades")
 
 
-def epsilon_sweep(config: ExperimentConfig, records: list[GrowthRecord]) -> SweepReport:
+def epsilon_sweep(records: list[GrowthRecord]) -> SweepReport:
     """Regress escape time against ln(1/eps) over the records of a sweep,
-    one `run_perturbation` per epsilon of config; the caller runs them, in
-    turn or in parallel.  Raises FitError when fewer than two escaped."""
-    check_epsilons(config.epsilons)
+    one `run_perturbation` per epsilon; the caller runs them, in turn or in
+    parallel.  Raises FitError when fewer than two escaped."""
+    check_epsilons([r.epsilon for r in records])
     escaped = [r for r in records if r.escape_time is not None]
     not_escaped = [r.epsilon for r in records if r.escape_time is None]
     if len(escaped) < 2:
@@ -247,11 +231,5 @@ def epsilon_sweep(config: ExperimentConfig, records: list[GrowthRecord]) -> Swee
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return SweepReport(
-        records=records,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        lambda_spectral=config.spectrum.rightmost.real,
-        threshold=config.threshold,
-        not_escaped=not_escaped,
+        slope=float(slope), intercept=float(intercept), r_squared=r2, not_escaped=not_escaped
     )

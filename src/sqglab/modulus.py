@@ -36,7 +36,7 @@ condition's least grid point, and B is the largest of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -62,7 +62,7 @@ class ModulusParams:
     B: float = 1.0
     A: float = 1.0          # velocity-modulus constant of the advection bound
     C_big: float = 10.0     # 'sufficiently large' constant in the B selection
-    d: float = TORUS_DIAMETER
+    d = TORUS_DIAMETER      # unannotated: a class constant, not a field
 
     def __post_init__(self):
         if not 0.0 < self.delta_mod < 1.0:
@@ -78,7 +78,7 @@ class ModulusParams:
         return self.delta_mod / self.B
 
     def with_B(self, B: float) -> "ModulusParams":
-        return ModulusParams(self.delta_mod, self.gamma_mod, B, self.A, self.C_big, self.d)
+        return replace(self, B=B)
 
 
 # -- the modulus and its derivatives ------------------------------------------
@@ -449,9 +449,9 @@ class VerificationReport:
     long_range_coefficient: float
 
 
-def default_xi_grid(params: ModulusParams, n: int = 200) -> np.ndarray:
-    """Log-spaced grid on (0, d], densified around the seam, seam included."""
-    base = np.geomspace(1e-5 * params.d, params.d, n)
+def default_xi_grid(params: ModulusParams) -> np.ndarray:
+    """200 log-spaced points on (0, d], densified around the seam, seam included."""
+    base = np.geomspace(1e-5 * params.d, params.d, 200)
     seam = params.seam
     pts = [base]
     if seam < params.d:

@@ -173,15 +173,15 @@ def forward(p: PhysicalField) -> SpectralField:
     return SpectralField(p.grid, c)
 
 
-def inverse(s: SpectralField, rtol: float = SYMMETRY_RTOL) -> PhysicalField:
+def inverse(s: SpectralField) -> PhysicalField:
     """Fourier coefficients -> real physical values; rejects input whose
-    imaginary part exceeds rtol times the field magnitude."""
+    imaginary part exceeds SYMMETRY_RTOL times the field magnitude."""
     re, im = real_imag_halves(s.coeffs)
     if not np.any(im):  # exactly conjugate-symmetric, as the program makes real fields
         return PhysicalField(s.grid, half_values(re, s.grid.n))
     re, im = half_values(np.stack([re, im]), s.grid.n)
     scale = np.sqrt(np.max(re * re + im * im))
-    if scale > 0 and np.max(np.abs(im)) > rtol * scale:
+    if scale > 0 and np.max(np.abs(im)) > SYMMETRY_RTOL * scale:
         raise SymmetryError(
             "conjugate symmetry broken: imaginary residue "
             f"{np.max(np.abs(im)) / scale:.3e} of field magnitude"

@@ -93,15 +93,20 @@ def spectrum64(unstable64, g64):
 
 
 @pytest.fixture(scope="module")
-def sweep(unstable64, spectrum64):
-    cfg = ExperimentConfig(
+def sweep_config(unstable64, spectrum64):
+    return ExperimentConfig(
         steady=unstable64,
         spectrum=spectrum64,
         epsilons=[1e-2, 1e-3, 1e-4, 1e-5],
         stepper=StepperConfig(cfl=0.4, dt_max=0.02),
         observe_every=0.05,
     )
-    return cfg, epsilon_sweep(cfg, [run_perturbation(cfg, e) for e in cfg.epsilons])
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_config):
+    records = [run_perturbation(sweep_config, e) for e in sweep_config.epsilons]
+    return records, epsilon_sweep(records)
 
 
 def test_criterion_1_spectral_identities(g64):
@@ -249,7 +254,7 @@ def test_criterion_5_linear_rate_reproduction(spectrum64, run128):
 @pytest.mark.slow
 def test_criterion_6_escape_time_law(spectrum64, sweep):
     lam = spectrum64.rightmost.real
-    _, rep = sweep
+    records, rep = sweep
     slope_gap = abs(rep.slope - 1.0 / lam) * lam
     ok = not rep.not_escaped and slope_gap < 0.10 and rep.r_squared > 0.99
     report(
@@ -257,15 +262,15 @@ def test_criterion_6_escape_time_law(spectrum64, sweep):
         ok,
         f"slope {rep.slope:.4f} vs 1/lambda {1 / lam:.4f} (gap {slope_gap:.2%}, "
         f"< 10%), R^2 {rep.r_squared:.5f} (> 0.99), escapes "
-        f"{len(rep.records) - len(rep.not_escaped)}/{len(rep.records)}",
+        f"{len(records) - len(rep.not_escaped)}/{len(records)}",
     )
     assert ok
 
 
 @pytest.mark.slow
 def test_criterion_7_gradient_boundedness(sweep):
-    _, rep = sweep
-    maxima = [r.max_grad_linf for r in rep.records]
+    records, _ = sweep
+    maxima = [r.max_grad_linf for r in records]
     ok = all(np.isfinite(m) for m in maxima) and max(maxima) / min(maxima) < 2.0
     report(
         7,
@@ -334,8 +339,8 @@ def test_criterion_8_modulus_machinery(modulus_problem):
         "test_modulus and via the modulus --trajectory command."
     ),
 )
-def test_criterion_9_trajectory_modulus(g64, unstable64, spectrum64, sweep):
-    cfg, _ = sweep
+def test_criterion_9_trajectory_modulus(g64, unstable64, spectrum64, sweep_config):
+    cfg = sweep_config
     # best-case admissible modulus parameters (monotone + concave need
     # delta <= 4/9 and gamma <= 4 delta (1 - 1.5 sqrt(delta)))
     candidates = [(1e-2, 1e-2), (0.1975, 0.19), (0.25, 0.2), (0.4, 0.05)]

@@ -642,6 +642,50 @@ def test_cmd_instability_exit_codes(
         assert "\n  linf_grad = " in captured.err
 
 
+def arpack_fails(monkeypatch):
+    # _rightmost_power imports eigs when it is called
+    import scipy.sparse.linalg as sla
+
+    def eigs(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(sla, "eigs", eigs)
+
+
+def steady_gate_fails(monkeypatch):
+    # the shear's residual is exactly 0.0, which no gate of 0.0 passes
+    monkeypatch.setattr(cli, "STEADY_RESIDUAL_GATE", 0.0)
+
+
+STEADY_FILES = ["f.sqgf", "q0_1.sqgf", "q0_2.sqgf", "steady_report.txt", "theta0.sqgf"]
+
+
+@pytest.mark.parametrize(
+    "command,patch,extra,code,files,stream,message",
+    [
+        ("spectrum", arpack_fails, "[spectrum]\nmethod = power\n", 3, None, "err",
+         "numerical failure: ARPACK did not converge"),
+        ("instability", arpack_fails, "[spectrum]\nmethod = power\n", 3, None, "err",
+         "numerical failure: ARPACK did not converge"),
+        ("steady", steady_gate_fails, "", 1, STEADY_FILES, "out", "(gate 0)"),
+    ],
+    ids=["spectrum-arpack", "instability-arpack", "steady-gate"],
+)
+def test_cmd_exit_codes(
+    tmp_path, monkeypatch, capsys, command, patch, extra, code, files, stream, message
+):
+    # a non-converged eigensolve writes nothing; a failed steady gate writes
+    # every file, its report ending in the verdict
+    patch(monkeypatch)
+    cfg = steady_ini(tmp_path, n=16, m=2, amplitude=10.0, extra=extra)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert message in getattr(capsys.readouterr(), stream)
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
+    if command == "steady":
+        assert (out / "steady_report.txt").read_text().splitlines()[-1] == "gate = fail"
+
+
 MODULUS_SMALL = (
     "[grid]\nn = 64\n[steady]\nkind = shear\nm = 1\namplitude = 2e-4\n"
     "[modulus]\ndelta_mod = 0.01\ngamma_mod = 0.01\na = 1.0\ncbig = 10.0\nseed = 9\n"

@@ -172,9 +172,13 @@ def test_duhamel_residual_quadratically_small(run_1em4):
     assert np.max(ratio) < 0.1
 
 
-def test_envelope_never_violated(run_1em4):
-    _, rec = run_1em4
-    assert rec.envelope_time is None
+def test_envelope_never_violated(lab, run_1em4):
+    # the bootstrap's envelope ||theta(t)|| <= eps R e^{lambda t} holds on the
+    # whole series
+    _, _, spec = lab
+    cfg, rec = run_1em4
+    lam = spec.rightmost.real
+    assert np.all(rec.l2 <= 1e-4 * cfg.envelope_radius * np.exp(lam * rec.t))
 
 
 def test_gradient_monitor_bounded(run_1em4):
@@ -215,7 +219,8 @@ def sweep(lab):
     cfg = make_config(
         ss, spec, [1e-1, 1e-2, 1e-3, 1e-4], threshold=5.0, observe_every=0.05
     )
-    return cfg, epsilon_sweep(cfg, [run_perturbation(cfg, e) for e in cfg.epsilons])
+    records = [run_perturbation(cfg, e) for e in cfg.epsilons]
+    return records, epsilon_sweep(records)
 
 
 def test_sweep_escape_law(lab, sweep):
@@ -228,8 +233,8 @@ def test_sweep_escape_law(lab, sweep):
 
 
 def test_sweep_escape_monotone(sweep):
-    _, rep = sweep
-    times = [r.escape_time for r in rep.records]
+    records, _ = sweep
+    times = [r.escape_time for r in records]
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
@@ -237,18 +242,17 @@ def test_sweep_threshold_doubling_shift(lab, sweep):
     # in the exponential regime, doubling the threshold delays every escape
     # by about ln(2)/lambda
     _, _, spec = lab
-    _, rep = sweep
+    records, _ = sweep
     lam = spec.rightmost.real
-    for rec in rep.records:
+    for rec in records:
         t1 = escape_time(rec, 2.5)
         t2 = escape_time(rec, 5.0)
         assert t1 is not None and t2 is not None
         assert abs((t2 - t1) - np.log(2.0) / lam) < 0.15 * np.log(2.0) / lam
 
 
-def test_sweep_validation(lab):
-    _, ss, spec = lab
+def test_sweep_validation():
     with pytest.raises(errors.DomainError):
-        epsilon_sweep(make_config(ss, spec, [1e-1, 5e-2, 2e-2, 1e-2], t_max=1.0), [])
+        epsilon_sweep([GrowthRecord(e, {}) for e in (1e-1, 5e-2, 2e-2, 1e-2)])
     with pytest.raises(errors.DomainError):
-        epsilon_sweep(make_config(ss, spec, [1e-1, 1e-3], t_max=1.0), [])
+        epsilon_sweep([GrowthRecord(e, {}) for e in (1e-1, 1e-3)])
